@@ -141,7 +141,7 @@ def _parse_scalar(raw, kind, path, errors):
     return None
 
 
-def _check_constraint(value, constraint, path, errors):
+def _check_constraint(value, constraint, path, errors, n):
     if value is None or constraint is None:
         return
     vals = value if isinstance(value, list) else [value]
@@ -167,7 +167,7 @@ def _check_constraint(value, constraint, path, errors):
         elif constraint == "in [3, 12]":
             ok = 3 <= v <= 12
         elif constraint == "each in (0, n)":
-            ok = v > 0
+            ok = 0 < v < n
         elif constraint == "dyadic":
             try:
                 sets.scale_exponent(v)
@@ -320,7 +320,7 @@ def parse_config(path) -> ExperimentConfig:
                 continue
             kind, constraint = schema[key]
             v = _parse_scalar(sec[key], kind, f"{name}.{key}", errors)
-            _check_constraint(v, constraint, f"{name}.{key}", errors)
+            _check_constraint(v, constraint, f"{name}.{key}", errors, manifold["n"])
             if v is not None:
                 kwargs[key] = v
         if "k_min" in kwargs or "k_max" in kwargs:

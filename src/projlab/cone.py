@@ -19,6 +19,7 @@ from .manifold import ManifoldChart
 __all__ = [
     "Cone",
     "LineSegment",
+    "Cuts",
     "GeneratrixError",
     "ApexError",
     "ProjectionError",
@@ -86,27 +87,6 @@ class LineSegment:
 # angular nearest point on the cross-section
 
 
-def _seed_grid(chart: ManifoldChart, per_axis: int) -> tuple[np.ndarray, np.ndarray]:
-    d = chart.dim
-    axes = [np.linspace(0.0, 1.0, per_axis) for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    return grid, chart.point(grid)
-
-
-_SEED_CACHE: dict = {}
-
-
-def _seeds(chart: ManifoldChart, per_axis: int):
-    key = (id(chart), per_axis)
-    hit = _SEED_CACHE.get(key)
-    if hit is None or hit[0] is not chart:
-        grid, pts = _seed_grid(chart, per_axis)
-        hit = (chart, grid, pts)
-        _SEED_CACHE[key] = hit
-    return hit[1], hit[2]
-
-
 def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     # solve hess s = -grad with a guard for the flat (singular) case
     d = grad.shape[-1]
@@ -140,7 +120,7 @@ def nearest_direction(
     points on the cross-section, by seeded damped Newton ascent clamped to
     the closed parameter cube.  Returns (params, cosines)."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    grid, pts = _seeds(chart, seeds_per_axis)
+    grid, pts = chart.seed_grid(seeds_per_axis)
     dots = dirs @ pts.T
     x = grid[np.argmax(dots, axis=1)].copy()
     val = np.max(dots, axis=1)
@@ -260,7 +240,53 @@ def tangent_plane_angle(cone: Cone, p, line: LineSegment) -> float:
 
 
 # ---------------------------------------------------------------------------
+# bracketed roots
+
+
+def _refine_brackets(f, lo, hi, flo, fhi, tol: float = 1e-12, steps: int = 80) -> np.ndarray:
+    """Roots of f in the sign-change brackets [lo, hi], all refined together
+    by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
+
+    Each step makes one batched call f(t) on the brackets still at least tol
+    wide.  An endpoint kept twice in a row has its value halved, so both
+    ends keep moving; trial points stay tol/4 inside the bracket, so a root
+    within tol/4 of an end collapses it.  Returns the bracket midpoints.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
+    kept = np.zeros(lo.shape, dtype=int)  # end kept by the last step: 1 lo, -1 hi
+    for _ in range(steps):
+        live = np.flatnonzero(hi - lo >= tol)
+        if not live.size:
+            break
+        a, b, fa, fb, k = lo[live], hi[live], flo[live], fhi[live], kept[live]
+        m = np.clip(b - fb * (b - a) / (fb - fa), a + 0.25 * tol, b - 0.25 * tol)
+        fm = np.asarray(f(m), dtype=float)
+        zero = fm == 0.0
+        up = ~zero & (np.sign(fm) == np.sign(fa))  # the root lies in [m, b]
+        down = ~zero & ~up
+        fb = np.where(up & (k == -1), 0.5 * fb, fb)
+        fa = np.where(down & (k == 1), 0.5 * fa, fa)
+        lo[live] = np.where(up | zero, m, a)
+        hi[live] = np.where(down | zero, m, b)
+        flo[live] = np.where(up, fm, fa)
+        fhi[live] = np.where(down, fm, fb)
+        kept[live] = np.where(up, -1, np.where(down, 1, 0))
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
 # line intersections
+
+
+class Cuts(list):
+    """Points where a segment meets the cone, in order along the segment.
+
+    `dropped` counts bracketed roots that `_polish_root` could not put on
+    the cone; they are missing from the list, so the count may be low.
+    """
+
+    dropped: int = 0
 
 
 def _radial_defect(cone: Cone, pts: np.ndarray):
@@ -286,13 +312,14 @@ def line_cone_points(
     line: LineSegment,
     grid: int = 10_000,
     tol: float = 1e-12,
-) -> list[np.ndarray]:
+) -> Cuts:
     """All intersection points of the segment with the cone surface.
 
     Brackets sign changes of the radial side defect along a fine t-grid,
-    bisects each bracket, then polishes on the full system
-    line(t) = apex + r*Sigma(x) and keeps roots with on-surface residual
-    below 1e-10.  Segments lying inside a generatrix are rejected.
+    refines all brackets together to width tol, then polishes each root on
+    the full system line(t) = apex + r*Sigma(x) and keeps roots with
+    on-surface residual below 1e-10.  Segments lying inside a generatrix
+    are rejected.
     """
     ts = np.linspace(line.t0, line.t1, grid)
     pts = line.point(ts)
@@ -306,28 +333,20 @@ def line_cone_points(
         if float(np.minimum(spread, anti).max()) < 1e-8:
             raise GeneratrixError("segment lies along a single generatrix direction")
     sigma, _, _ = _radial_defect(cone, pts)
-    roots: list[float] = []
-    zero_hits = np.flatnonzero(np.abs(sigma) < 1e-15)
     flips = np.flatnonzero(np.sign(sigma[:-1]) * np.sign(sigma[1:]) < 0)
-    for i in flips:
-        lo, hi = ts[i], ts[i + 1]
-        flo = sigma[i]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fmid = float(_radial_defect(cone, line.point(np.array([mid])))[0][0])
-            if flo * fmid <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-            if hi - lo < tol:
-                break
-        roots.append(0.5 * (lo + hi))
-    roots.extend(float(ts[i]) for i in zero_hits)
-    out: list[np.ndarray] = []
+    roots = list(_refine_brackets(
+        lambda t: _radial_defect(cone, line.point(t))[0],
+        ts[flips], ts[flips + 1], sigma[flips], sigma[flips + 1], tol,
+    ))
+    roots.extend(float(ts[i]) for i in np.flatnonzero(np.abs(sigma) < 1e-15))
+    out = Cuts()
     seen: list[float] = []
     for t in sorted(roots):
-        t = _polish_root(cone, line, t)
-        if t is None or any(abs(t - s) < 1e-9 * max(1.0, abs(t)) + 1e-12 for s in seen):
+        t = _polish_root(cone, line, float(t))
+        if t is None:
+            out.dropped += 1
+            continue
+        if any(abs(t - s) < 1e-9 * max(1.0, abs(t)) + 1e-12 for s in seen):
             continue
         if t < line.t0 - 1e-9 or t > line.t1 + 1e-9:
             continue
@@ -430,6 +449,7 @@ def tube_components(cone: Cone, line: LineSegment, delta: float) -> int:
 def line_cone_tube_volume(
     cone: Cone,
     line: LineSegment,
+    cuts: list[np.ndarray],
     delta: float,
     samples: int,
     rng: np.random.Generator,
@@ -439,9 +459,9 @@ def line_cone_tube_volume(
     delta-tube), plus the component count of the 2*delta slice along the
     line (discretized at step delta/4; true components have length >= delta).
 
-    Tangent angles are checked at intersection points at least 10*delta from
-    the apex; a transversality parameter `a` below any of them flags the
-    report instead of failing it.
+    Tangent angles are checked at the intersection points `cuts` (from
+    `line_cone_points`) at least 10*delta from the apex; a transversality
+    parameter `a` below any of them flags the report instead of failing it.
     """
     pts = _tube_samples(line, delta, samples, rng)
     hits = 0
@@ -456,10 +476,6 @@ def line_cone_tube_volume(
     components = tube_components(cone, line, delta)
 
     min_angle = math.pi / 2.0
-    try:
-        cuts = line_cone_points(cone, line, grid=2000)
-    except GeneratrixError:
-        cuts = []
     for q in cuts:
         if float(np.linalg.norm(q - cone.apex)) < 10.0 * delta:
             continue
@@ -474,10 +490,10 @@ def make_transversal_lines(
     count: int,
     rng: np.random.Generator,
     max_tries: int = 50,
-) -> list[LineSegment]:
+) -> list[tuple[LineSegment, Cuts]]:
     """Random secant lines whose tangent angle at every intersection point
-    (outside the apex ball) is at least `a`."""
-    out: list[LineSegment] = []
+    (outside the apex ball) is at least `a`, each paired with its cuts."""
+    out: list[tuple[LineSegment, Cuts]] = []
     tries = 0
     while len(out) < count and tries < max_tries * count:
         tries += 1
@@ -500,7 +516,7 @@ def make_transversal_lines(
             angles.append(tangent_plane_angle(cone, c, line))
         else:
             if angles and min(angles) >= a:
-                out.append(line)
+                out.append((line, cuts))
     if len(out) < count:
         raise RuntimeError(f"only found {len(out)} of {count} transversal lines")
     return out
@@ -578,9 +594,9 @@ def tangency_locus(cone: Cone, y: np.ndarray, grid: int = 512) -> TangencyProfil
     """Zero set of nu(x) . y on the parameter cube.
 
     For one-parameter charts the isolated roots are returned (sign brackets
-    refined by bisection).  For higher-dimensional charts the locus is a
-    hypersurface-or-smaller; the profile records sign-change cell counts per
-    dyadic scale, whose slope estimates its box dimension.
+    refined by `_refine_brackets`).  For higher-dimensional charts the locus
+    is a hypersurface-or-smaller; the profile records sign-change cell counts
+    per dyadic scale, whose slope estimates its box dimension.
     """
     y = np.asarray(y, dtype=float)
     y = y / np.linalg.norm(y)
@@ -588,19 +604,12 @@ def tangency_locus(cone: Cone, y: np.ndarray, grid: int = 512) -> TangencyProfil
     d = chart.dim
     if d == 1:
         ts = np.linspace(0.0, 1.0, grid + 1)
-        vals = np.einsum("...n,n->...", chart.normal(ts[:, None]), y)
-        roots = []
-        for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            flo = float(vals[i])
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = float(np.einsum("n,n->", chart.normal(np.array([[mid]]))[0], y))
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(np.array([0.5 * (lo + hi)]))
+        vals = chart.normal(ts[:, None]) @ y
+        flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+        found = _refine_brackets(lambda t: chart.normal(t[:, None]) @ y,
+                                 ts[flips], ts[flips + 1], vals[flips], vals[flips + 1],
+                                 steps=60)
+        roots = [np.array([t]) for t in found]
         for i in np.flatnonzero(np.abs(vals) < 1e-15):
             roots.append(np.array([float(ts[i])]))
         return TangencyProfile(params=roots)

@@ -460,6 +460,12 @@ def run_pair_volume_sweep(
     return rep
 
 
+def _note_dropped_roots(rep: ExperimentReport, label: str, cuts) -> None:
+    # a root that failed to polish could hide a third intersection point
+    if cuts.dropped:
+        rep.notes.append(f"{label}: {cuts.dropped} bracketed root(s) not polished onto the cone")
+
+
 @_timed
 def run_cone_incidence(
     chart: ManifoldChart,
@@ -494,11 +500,13 @@ def run_cone_incidence(
     slopes = []
     ratios = []
     bad_fit = 0
-    for i, line in enumerate(lines):
+    for i, (line, cuts) in enumerate(lines):
+        _note_dropped_roots(rep, f"line {i}", cuts)
         vols = []
         for delta in deltas:
             tr = cones.line_cone_tube_volume(
-                cone, line, delta, samples, rng_stream(seed, 402, i, round(-math.log2(delta))), a=a
+                cone, line, cuts, delta, samples,
+                rng_stream(seed, 402, i, round(-math.log2(delta))), a=a,
             )
             rep.record(delta, f"line{i:03d}_tube_volume", tr.volume, tr.stderr, tr.samples)
             vols.append(tr.volume)
@@ -521,8 +529,8 @@ def run_cone_incidence(
     check = cones.make_transversal_lines(cone, a, check_lines, rng_stream(seed, 403))
     point_violations = 0
     comp_violations = 0
-    for line in check:
-        cuts = cones.line_cone_points(cone, line, grid=4000)
+    for j, (line, cuts) in enumerate(check):
+        _note_dropped_roots(rep, f"check line {j}", cuts)
         if len(cuts) > 2:
             point_violations += 1
         if cones.tube_components(cone, line, component_delta) > 2:

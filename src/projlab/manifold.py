@@ -230,6 +230,15 @@ class ManifoldChart:
     def constants(self) -> "ChartConstants":
         return _estimate_constants(self)
 
+    def seed_grid(self, per_axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """Parameters and points of the closed grid with per_axis nodes per
+        axis, cached on the chart so the cache lives and dies with it."""
+        cache = self.__dict__.setdefault("_seed_grids", {})
+        if per_axis not in cache:
+            grid = _sample_grid(self.dim, per_axis)
+            cache[per_axis] = (grid, self.point(grid))
+        return cache[per_axis]
+
     @property
     def m_sigma(self) -> float:
         """Global Jacobian scale used to normalize tangent frame vectors."""

@@ -217,6 +217,17 @@ def test_bad_threads_rejected(tmp_path, capsys):
     assert "run.threads" in capsys.readouterr().err
 
 
+def test_s_grid_at_or_above_ambient_dimension_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[manifold]\nn = 3\n[exceptional-set]\ns_grid = 0.5, 3.0\n")
+    rc = cli.main(["exceptional-set", "--config", cfg])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "exceptional-set.s_grid: value 3.0" in err
+    assert "value 0.5" not in err
+    ok = write_config(tmp_path, "[manifold]\nn = 4\n[exceptional-set]\ns_grid = 3.5\n")
+    assert cli.parse_config(ok).params["exceptional-set"]["s_grid"] == [3.5]
+
+
 def test_identical_runs_are_byte_identical(tmp_path, capsys):
     cfg = write_config(tmp_path, "[manifold-info]\nsamples = 250\n")
     out = tmp_path / "out"

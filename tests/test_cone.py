@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from projlab.cone import (
     line_cone_points,
     line_cone_tube_volume,
     make_transversal_lines,
+    nearest_direction,
     tangency_locus,
     tangent_plane_angle,
     tube_components,
 )
+from projlab.cone import _polish_root, _radial_defect
 from projlab.manifold import frame_matrices, make_cap_chart, subdivide
 from projlab.util import rng_stream, unit_ball_volume
 
@@ -96,6 +100,18 @@ def test_radial_projection_lands_on_cross_section(cone3, cap3):
     _, foot_x, foot_r = cone3.nearest(pts)
     image = np.sign(foot_r)[:, None] * cap3.point(foot_x)
     assert np.linalg.norm(unit - image, axis=-1).max() <= 1e-8
+
+
+def test_direction_seeds_live_and_die_with_the_chart():
+    chart = make_cap_chart(3, 0.6)
+    grid, pts = chart.seed_grid(64)
+    x, cosine = nearest_direction(chart, pts[:3])
+    assert chart.seed_grid(64)[0] is grid
+    assert np.allclose(x, grid[:3]) and np.allclose(cosine, 1.0)
+    ref = weakref.ref(chart)
+    del chart, grid, pts
+    gc.collect()
+    assert ref() is None
 
 
 def test_one_sided_cone_excludes_negative_radii(cap3):
@@ -194,14 +210,76 @@ def test_random_secants_cut_at_most_twice(cone3):
         checked += 1
 
 
+def _bisection_cuts(cone, line, grid, tol=1e-12):
+    """Reference solver: a scalar 80-step bisection per sign-change bracket
+    of the radial defect, then the same polish, dedupe and range checks as
+    line_cone_points."""
+    ts = np.linspace(line.t0, line.t1, grid)
+    sigma = _radial_defect(cone, line.point(ts))[0]
+    roots = []
+    for i in np.flatnonzero(np.sign(sigma[:-1]) * np.sign(sigma[1:]) < 0):
+        lo, hi, flo = ts[i], ts[i + 1], sigma[i]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fmid = float(_radial_defect(cone, line.point(np.array([mid])))[0][0])
+            if flo * fmid <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+            if hi - lo < tol:
+                break
+        roots.append(0.5 * (lo + hi))
+    roots.extend(float(ts[i]) for i in np.flatnonzero(np.abs(sigma) < 1e-15))
+    kept = []
+    for t in sorted(roots):
+        t = _polish_root(cone, line, t)
+        if t is None or any(abs(t - s) < 1e-9 * max(1.0, abs(t)) + 1e-12 for s in kept):
+            continue
+        if line.t0 - 1e-9 <= t <= line.t1 + 1e-9:
+            kept.append(t)
+    return line.point(np.array(kept))
+
+
+def test_batched_solver_matches_scalar_bisection(cone3):
+    r = rng_stream(24, 1)
+    checked = 0
+    while checked < 20:
+        x = r.uniform(0.05, 0.95, (2, 1))
+        rad = r.uniform(0.35, 0.9, 2)
+        p, q = cone3.surface_points(x, rad)
+        if float(np.linalg.norm(p - q)) < 0.2:
+            continue
+        seg = LineSegment.through(p, q, pad=0.15)
+        try:
+            cuts = line_cone_points(cone3, seg, grid=4000)
+        except GeneratrixError:
+            continue
+        ref = _bisection_cuts(cone3, seg, 4000)
+        assert len(cuts) == len(ref)
+        assert cuts.dropped == 0
+        if len(ref):
+            assert np.abs(np.array(cuts) - ref).max() <= 1e-10
+        checked += 1
+
+
+def test_transversal_lines_carry_their_fresh_cuts(cone3):
+    pairs = make_transversal_lines(cone3, 0.3, 5, rng_stream(24, 4))
+    assert len(pairs) == 5
+    for line, cuts in pairs:
+        fresh = line_cone_points(cone3, line, grid=4000)
+        assert len(cuts) == len(fresh)
+        assert np.abs(np.array(cuts) - np.array(fresh)).max() <= 1e-10
+
+
 # -- tube volumes -----------------------------------------------------------
 
 
 def test_transversal_tube_volume_scaling(cone3):
-    line = make_transversal_lines(cone3, 0.3, 1, rng_stream(23, 1))[0]
+    line, cuts = make_transversal_lines(cone3, 0.3, 1, rng_stream(23, 1))[0]
     vols = []
     for j in range(6, 11):
-        rep = line_cone_tube_volume(cone3, line, 2.0**-j, 40_000, rng_stream(23, 10 + j), a=0.3)
+        rep = line_cone_tube_volume(cone3, line, cuts, 2.0**-j, 40_000, rng_stream(23, 10 + j),
+                                    a=0.3)
         assert not rep.angle_flag
         assert rep.min_tangent_angle >= 0.3
         assert rep.components <= 2
@@ -218,7 +296,8 @@ def test_generatrix_tube_fills_and_scales_quadratically(cone3, cap3):
     line = Cone(cap3, np.zeros(3), one_sided=True).generatrix(np.array([0.3]))
     vols = []
     for j in (5, 6, 7):
-        rep = line_cone_tube_volume(cone3, line, 2.0**-j, 60_000, rng_stream(25, j))
+        # a generatrix has no isolated cuts
+        rep = line_cone_tube_volume(cone3, line, [], 2.0**-j, 60_000, rng_stream(25, j))
         tube = line.length * math.pi * (2.0**-j) ** 2 + unit_ball_volume(3) * (2.0**-j) ** 3
         assert rep.volume == pytest.approx(tube, rel=0.1)
         vols.append(rep.volume)

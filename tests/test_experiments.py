@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from projlab import cone as cones
 from projlab.experiments import (
     Configuration,
     ConfigurationError,
@@ -12,6 +13,7 @@ from projlab.experiments import (
     build_configuration,
     make_collapsing_fractal,
     run_cinematic_check,
+    run_cone_incidence,
     run_cone_membership_check,
     run_configuration_lower_bound,
     run_exceptional_set_survey,
@@ -123,6 +125,22 @@ def test_pair_volume_single_delta_has_no_delta_fit(cap3):
     # identical u means the distance regressor has almost no spread, so the
     # marginal fit cannot certify anything
     assert rep.verdict != "pass"
+
+
+def test_cone_incidence_notes_roots_that_fail_to_polish(cap3, monkeypatch):
+    polish = cones._polish_root
+
+    # secants run from one surface point (t = 0) to another (t = length), so
+    # this loses the far cut of every line and keeps the near one
+    def far_half_fails(cone, line, t):
+        return None if t > 0.5 * (line.t0 + line.t1) else polish(cone, line, t)
+
+    monkeypatch.setattr(cones, "_polish_root", far_half_fails)
+    rep = run_cone_incidence(cap3, 5, sweep_lines=1, check_lines=2,
+                             deltas=(2.0**-5, 2.0**-6), samples=2000)
+    for label in ("line 0", "check line 0", "check line 1"):
+        assert any(note.startswith(f"{label}: ") and "root(s) not polished" in note
+                   for note in rep.notes), rep.notes
 
 
 def test_configuration_build_and_validate(cap3):
