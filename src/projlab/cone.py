@@ -284,9 +284,12 @@ class Cuts(list):
 
     `dropped` counts bracketed roots that `_polish_root` could not put on
     the cone; they are missing from the list, so the count may be low.
+    `angles` holds `tangent_plane_angle` at each cut, in order; it is
+    empty until `make_transversal_lines` fills it.
     """
 
     dropped: int = 0
+    angles: tuple[float, ...] | list[float] = ()
 
 
 def _radial_defect(cone: Cone, pts: np.ndarray):
@@ -449,7 +452,7 @@ def tube_components(cone: Cone, line: LineSegment, delta: float) -> int:
 def line_cone_tube_volume(
     cone: Cone,
     line: LineSegment,
-    cuts: list[np.ndarray],
+    cuts: Cuts,
     delta: float,
     samples: int,
     rng: np.random.Generator,
@@ -459,9 +462,10 @@ def line_cone_tube_volume(
     delta-tube), plus the component count of the 2*delta slice along the
     line (discretized at step delta/4; true components have length >= delta).
 
-    Tangent angles are checked at the intersection points `cuts` (from
-    `line_cone_points`) at least 10*delta from the apex; a transversality
-    parameter `a` below any of them flags the report instead of failing it.
+    Tangent angles are read from `cuts.angles` (the cuts and angles of
+    `make_transversal_lines`) at the cuts at least 10*delta from the apex;
+    a transversality parameter `a` below any of them flags the report
+    instead of failing it.
     """
     pts = _tube_samples(line, delta, samples, rng)
     hits = 0
@@ -476,10 +480,9 @@ def line_cone_tube_volume(
     components = tube_components(cone, line, delta)
 
     min_angle = math.pi / 2.0
-    for q in cuts:
-        if float(np.linalg.norm(q - cone.apex)) < 10.0 * delta:
-            continue
-        min_angle = min(min_angle, tangent_plane_angle(cone, q, line))
+    for q, angle in zip(cuts, cuts.angles, strict=True):
+        if float(np.linalg.norm(q - cone.apex)) >= 10.0 * delta:
+            min_angle = min(min_angle, angle)
     flag = a is not None and min_angle < a
     return TubeReport(volume, stderr, hits, int(pts.shape[0]), components, min_angle, flag)
 
@@ -492,7 +495,8 @@ def make_transversal_lines(
     max_tries: int = 50,
 ) -> list[tuple[LineSegment, Cuts]]:
     """Random secant lines whose tangent angle at every intersection point
-    (outside the apex ball) is at least `a`, each paired with its cuts."""
+    is at least `a`, each paired with its cuts and their angles (no cut of
+    an accepted line lies within 0.05 of the apex)."""
     out: list[tuple[LineSegment, Cuts]] = []
     tries = 0
     while len(out) < count and tries < max_tries * count:
@@ -516,6 +520,7 @@ def make_transversal_lines(
             angles.append(tangent_plane_angle(cone, c, line))
         else:
             if angles and min(angles) >= a:
+                cuts.angles = angles
                 out.append((line, cuts))
     if len(out) < count:
         raise RuntimeError(f"only found {len(out)} of {count} transversal lines")

@@ -30,7 +30,6 @@ __all__ = [
     "Configuration",
     "ConfigurationError",
     "chart_from_params",
-    "fractal_from_params",
     "make_collapsing_fractal",
     "run_manifold_info",
     "run_cinematic_check",
@@ -146,22 +145,6 @@ def chart_from_params(params: dict) -> ManifoldChart:
             frequency=float(params.get("frequency", 2.0)),
         )
     raise ValueError(f"unknown manifold kind {kind!r}")
-
-
-def fractal_from_params(params: dict) -> FractalSet:
-    placement = params.get("placement", "axis")
-    if placement == "product-axes":
-        axes = []
-        for spec in params["axes"]:
-            axes.append(tuple(spec))
-        return sets.product_fractal(axes)
-    return sets.build_cantor_dust(
-        int(params.get("n", 3)),
-        int(params["m"]),
-        float(params["ratio"]),
-        int(params["level"]),
-        placement=placement,
-    )
 
 
 def make_collapsing_fractal(chart: ManifoldChart, x_star, axes) -> tuple[FractalSet, np.ndarray]:

@@ -46,7 +46,6 @@ __all__ = [
     "second_fundamental_quotients",
     "subdivide",
     "image_diameter",
-    "injectivity_ratio",
 ]
 
 # Fourth-order central differences; the step is a compromise between
@@ -771,19 +770,6 @@ def image_diameter(chart: ManifoldChart, per_axis: int | None = None) -> float:
     jmax = float(np.max(np.linalg.svd(J, compute_uv=False)[:, 0]))
     mesh = math.sqrt(d) / (per_axis - 1)
     return diam + jmax * mesh
-
-
-def injectivity_ratio(chart: ManifoldChart, per_axis: int | None = None) -> float:
-    """Min over sampled parameter pairs of |point(x)-point(x')| / |x-x'|."""
-    d = chart.dim
-    if per_axis is None:
-        per_axis = {1: 129, 2: 17, 3: 9}.get(d, 9)
-    grid = _sample_grid(d, per_axis)
-    pts = chart.point(grid)
-    dx = np.linalg.norm(grid[:, None, :] - grid[None, :, :], axis=-1)
-    dp = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    mask = dx > 0.0
-    return float(np.min(dp[mask] / dx[mask]))
 
 
 def subdivide(chart: ManifoldChart, max_diameter: float) -> list[SubChart]:

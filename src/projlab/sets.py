@@ -4,9 +4,21 @@ Conventions: all scales are dyadic (delta = 2^-k), grids are anchored at
 the origin so negative coordinates are handled by floor, and box-counting
 cells are half-open cubes.  Cell counts on axis-aligned grids are
 comparable to ball-covering numbers up to a dimensional factor (2 sqrt(d))^d.
+
+Cells are counted by sorted Z-order (Morton) keys, after the sorted-key box
+counting of Liebovitch & Toth (Phys. Lett. A 141, 1989).  For a window of
+scales [k_min, k_max] the cell indices floor(p * 2^k_max) are computed once,
+shifted to start at zero, and their bits interleaved into one int64 key per
+point; one sort then serves every scale, since the cell at scale k is the
+key shifted right by d*(k_max - k) bits, and a linear pass over the sorted
+keys counts the distinct ones.  `covering_number`, `box_dimension`,
+`FractalSet.thin_to_scale` and the spread-set descent all use it.  When the
+shifted indices need more than 62 key bits in all, the cells come from exact
+row uniques (np.unique over axis 0) instead of from lossy packed keys.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -20,7 +32,6 @@ __all__ = [
     "ScaleError",
     "OverlapError",
     "InfeasibleExtractionError",
-    "DyadicGrid",
     "FractalSet",
     "DeltaSSet",
     "BoxCountFit",
@@ -38,6 +49,8 @@ __all__ = [
 ]
 
 _MAX_SCALE_EXP = 50  # beyond this, floor(x * 2^k) is no longer exact in float64
+_KEY_BITS = 62  # a Z-order cell key must stay a nonnegative int64
+_KEY_BLOCK = 1 << 16  # rows per block while building keys
 
 
 class ScaleError(ValueError):
@@ -65,78 +78,99 @@ def scale_exponent(delta: float) -> int:
 
 
 def _cell_indices(points: np.ndarray, k: int) -> np.ndarray:
-    return np.floor(np.asarray(points, dtype=float) * (1 << k)).astype(np.int64)
+    scaled = np.floor(np.asarray(points, dtype=float) * (1 << k))
+    if scaled.size and not np.abs(scaled).max() < 2.0 ** 63:
+        raise ScaleError(f"cell indices at scale 2^-{k} overflow int64; "
+                         f"coordinates must be finite and below 2^{63 - k}")
+    return scaled.astype(np.int64)
 
 
-def _cell_keys(idx: np.ndarray, k: int) -> np.ndarray | None:
-    """Pack index rows into single int64 keys when the bit budget allows."""
-    d = idx.shape[1]
-    bits = k + 2
-    if bits * d > 62:
+@functools.lru_cache(maxsize=None)
+def _spread_table(d: int) -> np.ndarray:
+    """Byte b with bit i moved to bit i*d: one byte of one column's key bits."""
+    b = np.arange(256, dtype=np.int64)
+    table = sum(((b >> i) & 1) << (i * d) for i in range(8) if i * d < _KEY_BITS)
+    table.flags.writeable = False
+    return table
+
+
+def _morton_keys(pts: np.ndarray, k_min: int, k_max: int) -> np.ndarray | None:
+    """Z-order keys of the cells floor(p * 2^k_max), or None when a key
+    would need more than _KEY_BITS bits.
+
+    Each column's index is shifted by its minimum rounded down to a multiple
+    of 2^(k_max - k_min), so key >> d*(k_max - k) names the cell of p at
+    every k in [k_min, k_max] and two points share it exactly when they
+    share that cell.
+    """
+    d = pts.shape[1]
+    scale = 2.0 ** k_max
+    cols = [np.floor(pts[:, c] * scale) for c in range(d)]
+    lo = [col.min() for col in cols]
+    hi = [col.max() for col in cols]
+    if not all(abs(v) < 2.0 ** _KEY_BITS for v in lo + hi):  # also False for NaN
         return None
-    key = np.zeros(idx.shape[0], dtype=np.int64)
-    for i in range(d):
-        key = (key << bits) | (idx[:, i] + (1 << (bits - 1)))
+    step = 1 << (k_max - k_min)
+    base = [int(v) // step * step for v in lo]
+    bits = max(int(h) - b for h, b in zip(hi, base)).bit_length()
+    if bits * d > _KEY_BITS:
+        return None
+    table = _spread_table(d)
+    key = np.zeros(pts.shape[0], dtype=np.int64)
+    # block by block, so the temporaries stay small and in cache
+    for s in range(0, key.size, _KEY_BLOCK):
+        out = key[s : s + _KEY_BLOCK]
+        for c, col in enumerate(cols):
+            idx = col[s : s + _KEY_BLOCK].astype(np.int64)
+            idx -= base[c]
+            for i in range(0, bits, 8):
+                part = table.take((idx >> i) & 0xFF)
+                part <<= i * d + c
+                out |= part
     return key
 
 
-def _unique_rows(idx: np.ndarray, k: int) -> np.ndarray:
-    keys = _cell_keys(idx, k)
-    if keys is not None:
-        _, first = np.unique(keys, return_index=True)
-        return idx[np.sort(first)]
-    return np.unique(idx, axis=0)
-
-
-def _count_unique(idx: np.ndarray, k: int) -> int:
-    keys = _cell_keys(idx, k)
-    if keys is not None:
-        return int(np.unique(keys).size)
-    return int(np.unique(idx, axis=0).shape[0])
-
-
-class DyadicGrid:
-    """Occupancy record of half-open dyadic cells at one scale.
-
-    Cells are index tuples floor(p * 2^k); grids built independently (for
-    example by different workers over point ranges) merge by union.
-    """
-
-    def __init__(self, d: int, k: int):
-        if k > _MAX_SCALE_EXP:
-            raise ScaleError(f"k = {k} exceeds the supported index width")
-        self.d = d
-        self.k = k
-        self.cells: set[tuple[int, ...]] = set()
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** -self.k
-
-    def insert(self, points: np.ndarray) -> None:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.d:
-            raise ValueError(f"points must have {self.d} columns")
-        idx = _unique_rows(_cell_indices(pts, self.k), self.k)
-        self.cells.update(map(tuple, idx.tolist()))
-
-    def contains(self, cell: tuple[int, ...]) -> bool:
-        return tuple(cell) in self.cells
-
-    def merge(self, other: "DyadicGrid") -> None:
-        if (other.d, other.k) != (self.d, self.k):
-            raise ValueError("can only merge grids of equal dimension and scale")
-        self.cells |= other.cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
+def _dyadic_cells(pts: np.ndarray, k_min: int, k_max: int, firsts: bool = False):
+    """For k = k_min..k_max in turn, the number of occupied half-open dyadic
+    cells of side 2^-k or, with `firsts`, the ascending indices of the first
+    point in each (indexing the points with them keeps one point per cell in
+    order of first appearance).  One sort of the Z-order keys at k_max
+    serves every scale."""
+    ks = range(k_min, k_max + 1)
+    key = _morton_keys(pts, k_min, k_max) if pts.shape[0] else None
+    if key is None:
+        idx = _cell_indices(pts, k_max)
+        for k in ks:
+            first = np.unique(idx >> (k_max - k), axis=0, return_index=True)[1]
+            yield np.sort(first) if firsts else first.size
+        return
+    # counts need no order, and an in-place sort of 1M keys is about four
+    # times faster than an argsort
+    if firsts:
+        order = np.argsort(key)
+        key = key[order]
+    else:
+        key.sort()
+    # sorted neighbours lie in different 2^-k cells exactly when their keys
+    # differ at or above bit d*(k_max - k)
+    split = key[1:] ^ key[:-1]
+    d = pts.shape[1]
+    for k in ks:
+        new = split >= 1 << (d * (k_max - k))
+        if not firsts:
+            yield 1 + int(np.count_nonzero(new))
+            continue
+        # a run of equal coarse keys spans several fine runs, so its first
+        # point is the least index in it, not the first in sorted order
+        starts = np.concatenate([[0], np.flatnonzero(new) + 1])
+        yield np.sort(np.minimum.reduceat(order, starts))
 
 
 def covering_number(points: np.ndarray, delta: float) -> int:
     """Number of occupied half-open dyadic cells of side delta."""
     k = scale_exponent(delta)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _count_unique(_cell_indices(pts, k), k)
+    return next(_dyadic_cells(pts, k, k))
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +200,7 @@ class FractalSet:
     def thin_to_scale(self, delta: float) -> np.ndarray:
         """One representative point per delta-cell (a delta-net of the set)."""
         k = scale_exponent(delta)
-        idx = _cell_indices(self.points, k)
-        keys = _cell_keys(idx, k)
-        if keys is None:
-            _, first = np.unique(idx, axis=0, return_index=True)
-        else:
-            _, first = np.unique(keys, return_index=True)
-        return self.points[np.sort(first)]
+        return self.points[next(_dyadic_cells(self.points, k, k, firsts=True))]
 
 
 def _ball_transform(points: np.ndarray, n: int) -> np.ndarray:
@@ -354,11 +382,13 @@ def box_dimension(points: np.ndarray, k_min: int, k_max: int) -> BoxCountFit:
     """
     if k_max - k_min < 3:
         raise ScaleError("need at least four scales: k_max - k_min >= 3")
+    if k_min < 0 or k_max > _MAX_SCALE_EXP:
+        raise ScaleError(f"scales outside supported range (0 <= k <= {_MAX_SCALE_EXP})")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("cannot fit a dimension to an empty set")
     ks = list(range(k_min, k_max + 1))
-    counts = [covering_number(pts, 2.0 ** -k) for k in ks]
+    counts = list(_dyadic_cells(pts, k_min, k_max))
     n_pts = pts.shape[0]
     warning = None
     cut = len(ks)
@@ -485,11 +515,12 @@ def extract_delta_s_set(
 
 def _descend(pts: np.ndarray, k: int, budgets: list[int]) -> np.ndarray:
     """Keep at most budgets[j] occupied cells per depth j, chosen by even
-    striding through the lexicographic order (which spreads them spatially);
-    a kept cell always has an occupied child, so the chain never dies."""
-    kept = _unique_rows(_cell_indices(pts, 0), 0)
-    for j in range(1, k + 1):
-        cells = _unique_rows(_cell_indices(pts, j), j)
+    striding through the cells in order of first appearance; a kept cell
+    always has an occupied child, so the chain never dies."""
+    firsts = _dyadic_cells(pts, 0, k, firsts=True)
+    kept = _cell_indices(pts[next(firsts)], 0)
+    for j, first in enumerate(firsts, start=1):
+        cells = _cell_indices(pts[first], j)
         mask = np.isin(_rows_as_void(cells >> 1), _rows_as_void(kept))
         cand = cells[mask]
         b = budgets[j]

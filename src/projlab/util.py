@@ -58,9 +58,6 @@ class LogLogFit:
     r2: float
     residuals: np.ndarray
 
-    def predict(self, logx: np.ndarray) -> np.ndarray:
-        return self.slope * np.asarray(logx) + self.intercept
-
 
 def fit_line(x, y, w=None) -> LogLogFit:
     """Weighted least-squares line fit with R^2 and per-point residuals.

@@ -8,6 +8,7 @@ import pytest
 from projlab.cone import (
     ApexError,
     Cone,
+    Cuts,
     GeneratrixError,
     LineSegment,
     ProjectionError,
@@ -269,6 +270,29 @@ def test_transversal_lines_carry_their_fresh_cuts(cone3):
         fresh = line_cone_points(cone3, line, grid=4000)
         assert len(cuts) == len(fresh)
         assert np.abs(np.array(cuts) - np.array(fresh)).max() <= 1e-10
+        assert cuts.angles == [tangent_plane_angle(cone3, c, line) for c in cuts]
+
+
+def test_tube_volume_reads_carried_angles(cone3, monkeypatch):
+    import projlab.cone as cone_module
+
+    line, cuts = make_transversal_lines(cone3, 0.3, 1, rng_stream(23, 1))[0]
+    delta = 2.0**-6
+    kept = [q for q in cuts if np.linalg.norm(q - cone3.apex) >= 10.0 * delta]
+    expected = min((tangent_plane_angle(cone3, q, line) for q in kept), default=math.pi / 2)
+    calls = []
+    monkeypatch.setattr(cone_module, "tangent_plane_angle",
+                        lambda *args: calls.append(args) or 0.0)
+    rep = line_cone_tube_volume(cone3, line, cuts, delta, 2_000, rng_stream(23, 2))
+    assert not calls
+    assert rep.min_tangent_angle == expected
+
+
+def test_tube_volume_rejects_cuts_without_angles(cone3):
+    line, cuts = make_transversal_lines(cone3, 0.3, 1, rng_stream(23, 1))[0]
+    bare = Cuts(cuts)
+    with pytest.raises(ValueError):
+        line_cone_tube_volume(cone3, line, bare, 2.0**-6, 2_000, rng_stream(23, 2))
 
 
 # -- tube volumes -----------------------------------------------------------
@@ -297,7 +321,7 @@ def test_generatrix_tube_fills_and_scales_quadratically(cone3, cap3):
     vols = []
     for j in (5, 6, 7):
         # a generatrix has no isolated cuts
-        rep = line_cone_tube_volume(cone3, line, [], 2.0**-j, 60_000, rng_stream(25, j))
+        rep = line_cone_tube_volume(cone3, line, Cuts(), 2.0**-j, 60_000, rng_stream(25, j))
         tube = line.length * math.pi * (2.0**-j) ** 2 + unit_ball_volume(3) * (2.0**-j) ** 3
         assert rep.volume == pytest.approx(tube, rel=0.1)
         vols.append(rep.volume)

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from projlab.sets import (
-    DyadicGrid,
+    FractalSet,
     InfeasibleExtractionError,
     OverlapError,
     ScaleError,
@@ -21,6 +21,7 @@ from projlab.sets import (
     spread_delta_s_set,
     write_pts,
 )
+from projlab.sets import _descend, _dyadic_cells, _morton_keys, _rows_as_void
 from projlab.util import rng_stream
 
 MIDDLE_THIRD_DIM = math.log(2.0) / math.log(3.0)
@@ -40,28 +41,6 @@ def test_scale_exponent_accepts_dyadic_only():
     for bad in (0.3, 1.0 / 27.0, 3.0):
         with pytest.raises(ScaleError):
             scale_exponent(bad)
-
-
-def test_dyadic_grid_basic_operations():
-    g = DyadicGrid(2, 3)
-    assert g.side == 0.125
-    g.insert(np.array([[0.1, 0.1], [0.11, 0.12], [0.9, 0.2]]))
-    assert len(g) == 2
-    assert g.contains((0, 0))
-    assert not g.contains((7, 7))
-    h = DyadicGrid(2, 3)
-    h.insert(np.array([[0.9, 0.9]]))
-    g.merge(h)
-    assert len(g) == 3
-    with pytest.raises(ValueError):
-        g.merge(DyadicGrid(2, 4))
-    with pytest.raises(ValueError):
-        g.insert(np.zeros((2, 3)))
-
-
-def test_dyadic_grid_rejects_excessive_depth():
-    with pytest.raises(ScaleError):
-        DyadicGrid(1, 4000)
 
 
 # -- covering numbers -------------------------------------------------------
@@ -97,6 +76,107 @@ def test_covering_monotone_and_subadditive():
         if previous is not None:
             assert na >= previous
         previous = na
+
+
+def test_cells_far_from_the_origin_do_not_collide():
+    # packing offset cell indices side by side used to send the unit cells
+    # (0, 4) and (1, 0) to the same key
+    pts = np.array([[0.0, 4.0], [1.0, 0.0]])
+    assert covering_number(pts, 1.0) == 2
+    fr = FractalSet(n=2, points=pts, similarity_dim=0.0, cell_side=1.0, level=0)
+    assert np.array_equal(fr.thin_to_scale(1.0), pts)
+
+
+def test_wide_range_counts_fall_back_to_exact_rows():
+    # at k = 10 the indices span about 2^31 per axis: 93 key bits for d = 3
+    pts = rng_stream(14, 9).uniform(-1e6, 1e6, (2000, 3))
+    pts[1000:] = pts[:1000] + 2.0**-12  # half the points share a cell with another
+    assert _morton_keys(pts, 10, 10) is None
+    exact = np.unique(np.floor(pts * 2.0**10), axis=0).shape[0]
+    assert covering_number(pts, 2.0**-10) == exact
+    assert next(_dyadic_cells(pts, 10, 10, firsts=True)).size == exact
+    with pytest.raises(ScaleError):
+        covering_number(np.array([[np.nan, 0.0]]), 0.5)
+
+
+# The packed-key code the Morton engine replaced, kept as the reference for
+# the order of kept cells.  Its keys are exact for coordinates in [-2, 2).
+
+
+def _reference_cell_indices(points, k):
+    return np.floor(np.asarray(points, dtype=float) * (1 << k)).astype(np.int64)
+
+
+def _reference_cell_keys(idx, k):
+    d = idx.shape[1]
+    bits = k + 2
+    if bits * d > 62:
+        return None
+    key = np.zeros(idx.shape[0], dtype=np.int64)
+    for i in range(d):
+        key = (key << bits) | (idx[:, i] + (1 << (bits - 1)))
+    return key
+
+
+def _reference_unique_rows(idx, k):
+    keys = _reference_cell_keys(idx, k)
+    if keys is not None:
+        _, first = np.unique(keys, return_index=True)
+        return idx[np.sort(first)]
+    return np.unique(idx, axis=0)
+
+
+def _reference_thin(points, k):
+    idx = _reference_cell_indices(points, k)
+    keys = _reference_cell_keys(idx, k)
+    if keys is None:
+        _, first = np.unique(idx, axis=0, return_index=True)
+    else:
+        _, first = np.unique(keys, return_index=True)
+    return points[np.sort(first)]
+
+
+def _reference_descend(pts, k, budgets):
+    kept = _reference_unique_rows(_reference_cell_indices(pts, 0), 0)
+    for j in range(1, k + 1):
+        cells = _reference_unique_rows(_reference_cell_indices(pts, j), j)
+        mask = np.isin(_rows_as_void(cells >> 1), _rows_as_void(kept))
+        cand = cells[mask]
+        b = budgets[j]
+        if cand.shape[0] > b:
+            sel = (np.arange(b, dtype=np.int64) * cand.shape[0]) // b
+            cand = cand[sel]
+        kept = cand
+    return kept
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_morton_engine_matches_row_unique(d):
+    r = rng_stream(14, 20 + d)
+    for k_min, k_max in [(0, 0), (3, 3), (0, 6), (2, 9), (5, 12)]:
+        for size in (1, 7, 600):
+            # clustered so that coarse and fine scales both see shared cells
+            hubs = r.uniform(-2.0, 2.0, (5, d))
+            pts = hubs[r.integers(0, 5, size)] + 0.05 * r.standard_normal((size, d))
+            pts = np.clip(pts, -2.0, 2.0 - 1e-9)
+            expect = [np.unique(np.floor(pts * 2.0**k), axis=0).shape[0]
+                      for k in range(k_min, k_max + 1)]
+            assert list(_dyadic_cells(pts, k_min, k_max)) == expect
+            fr = FractalSet(n=d, points=pts, similarity_dim=0.0, cell_side=1.0, level=0)
+            for k in (k_min, k_max):
+                assert np.array_equal(fr.thin_to_scale(2.0**-k), _reference_thin(pts, k))
+            budgets = [int(math.ceil(2.0 ** (j * 0.7))) for j in range(k_max + 1)]
+            assert np.array_equal(_descend(pts, k_max, budgets),
+                                  _reference_descend(pts, k_max, budgets))
+    if d > 1:
+        # past the 62-bit key budget the counts come from exact row uniques
+        # (for d = 1 that takes indices beyond the exact float64 range)
+        k_max = 62 // d
+        pts = r.uniform(-2.0, 2.0, (300, d))
+        pts[150:] = pts[:150] + 2.0 ** -(k_max + 2)
+        assert _morton_keys(pts, 0, k_max) is None
+        assert list(_dyadic_cells(pts, 0, k_max)) == [
+            np.unique(np.floor(pts * 2.0**k), axis=0).shape[0] for k in range(k_max + 1)]
 
 
 def test_grid_and_packing_counts_comparable():
