@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import ManifoldChart
+from .manifold import ManifoldChart, _sample_grid
 
 __all__ = [
     "Cone",
@@ -561,9 +561,7 @@ def graph_gradient_bound(
     # cross-section lies on the unit sphere
     fr = frame_at(piece, np.full(d, 0.5))
     R = np.concatenate([fr.point[None, :], fr.e, fr.nu[None, :]], axis=0)
-    axes = [np.linspace(0.0, 1.0, grid) for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xs = np.stack([m.ravel() for m in mesh], axis=-1)
+    xs = _sample_grid(d, grid)
     nu = piece.normal(xs)
     rot = nu @ R.T
     height = rot[:, -1]
@@ -620,9 +618,7 @@ def tangency_locus(cone: Cone, y: np.ndarray, grid: int = 512) -> TangencyProfil
         return TangencyProfile(params=roots)
     k_max = int(math.log2(grid))
     fine = 1 << k_max
-    axes = [np.linspace(0.0, 1.0, fine + 1) for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xs = np.stack([m.ravel() for m in mesh], axis=-1)
+    xs = _sample_grid(d, fine + 1)
     vals = np.einsum("...n,n->...", chart.normal(xs), y).reshape(*[fine + 1] * d)
     signs = np.sign(vals)
     counts: dict[int, int] = {}

@@ -8,6 +8,7 @@ so identical runs produce identical files, and is written to a sidecar.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -91,18 +92,35 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir, timestamp: str | None = None) -> dict:
+        """Write report_<name>_<timestamp>.json, raw_<name>_<timestamp>.csv
+        and the .meta.json sidecar.  Without a timestamp the current UTC
+        second is used, suffixed -2, -3, ... past the reports of this
+        experiment already in out_dir, so no write replaces another."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if timestamp is None:
-            timestamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+            timestamp = _claim_timestamp(out, self.experiment)
         report_path = out / f"report_{self.experiment}_{timestamp}.json"
-        csv_path = out / f"raw_{self.experiment}.csv"
+        csv_path = out / f"raw_{self.experiment}_{timestamp}.csv"
         report_path.write_text(self.to_json())
         csv_path.write_text(self.csv_text())
         meta = {"wall_clock_seconds": self.wall_clock_seconds, "timestamp": timestamp}
         meta_path = out / f"report_{self.experiment}_{timestamp}.meta.json"
         meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
         return {"report": str(report_path), "csv": str(csv_path), "meta": str(meta_path)}
+
+
+def _claim_timestamp(out: Path, experiment: str) -> str:
+    """The first free timestamp of the current second; creating the report
+    file with O_EXCL claims it, so concurrent writers cannot share it."""
+    base = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+    for k in itertools.count(1):
+        stamp = base if k == 1 else f"{base}-{k}"
+        try:
+            (out / f"report_{experiment}_{stamp}.json").touch(exist_ok=False)
+            return stamp
+        except FileExistsError:
+            continue
 
 
 def _timed(fn):
@@ -730,8 +748,7 @@ def run_cone_membership_check(
     )
     pts = sets.separate_points(fractal.thin_to_scale(delta), delta)
     rng = rng_stream(seed, 601)
-    xs = np.linspace(0.0, 1.0, xgrid)
-    grid = np.stack(np.meshgrid(*([xs] * chart.dim), indexing="ij"), axis=-1).reshape(-1, chart.dim)
+    grid = manifold._sample_grid(chart.dim, xgrid)
     B = frame_matrices(chart, grid)
     cone0 = cones.Cone(chart, np.zeros(chart.n))
     qualifying = []

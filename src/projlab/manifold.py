@@ -366,8 +366,7 @@ class PerturbedCapChart(ManifoldChart):
     def _preflight(self):
         d = self.dim
         g = 33 if d == 1 else 9
-        axes = [np.linspace(0.0, 1.0, g)] * d
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        grid = _sample_grid(d, g)
         try:
             kappa = principal_curvatures(self, grid)
             nu = self.normal(grid)
@@ -668,16 +667,9 @@ class ChartConstants:
         }
 
 
-def _constant_sample_points(d: int, rng: np.random.Generator) -> np.ndarray:
-    axes = [np.linspace(0.0, 1.0, 64)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    rand = rng.random((10_000, d))
-    return np.concatenate([grid, rand], axis=0)
-
-
 def _estimate_constants(chart: ManifoldChart) -> ChartConstants:
     d = chart.dim
-    xs = _constant_sample_points(d, np.random.default_rng(2024))
+    xs = np.concatenate([_sample_grid(d, 64), np.random.default_rng(2024).random((10_000, d))])
     j_scale = 0.0
     j_floor = math.inf
     k_lo, k_hi = math.inf, -math.inf
@@ -743,6 +735,8 @@ def _estimate_constants(chart: ManifoldChart) -> ChartConstants:
 
 
 def _sample_grid(d: int, per_axis: int) -> np.ndarray:
+    """The closed parameter grid with per_axis nodes per axis, (per_axis**d, d),
+    first coordinate slowest."""
     axes = [np.linspace(0.0, 1.0, per_axis)] * d
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 

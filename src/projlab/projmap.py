@@ -18,9 +18,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import betainc
 
-from .manifold import ManifoldChart, frame_matrices
-from .util import sample_ball, unit_ball_volume, unit_directions
+from .manifold import ManifoldChart, _sample_grid, frame_matrices
+from .util import unit_ball_volume, unit_directions
 
 __all__ = [
     "CinematicMap",
@@ -71,11 +72,6 @@ def eval_map(chart: ManifoldChart, z, x) -> np.ndarray:
 # frame tensor fields
 
 
-def _tensor_grid(d: int, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(0.0, 1.0, per_axis)] * d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-
-
 _FD_STEP = 2e-4
 _FD4 = ((-2.0, 1.0 / 12.0), (-1.0, -8.0 / 12.0), (1.0, 8.0 / 12.0), (2.0, -1.0 / 12.0))
 
@@ -117,7 +113,7 @@ class FrameField:
         self.chart = chart
         self.per_axis = per_axis
         self.mesh = 1.0 / (per_axis - 1)
-        self.x = _tensor_grid(d, per_axis)
+        self.x = _sample_grid(d, per_axis)
         self.B = frame_matrices(chart, self.x)
         self.dB = self._frame_derivative(self.x)
         self.d2B = self._frame_second_derivative(self.x)
@@ -159,16 +155,13 @@ class FrameField:
         return np.einsum("gckjl,pk->pgcjl", self.d2B, np.atleast_2d(W))
 
 
-_FIELD_CACHE: dict[tuple[int, int | None], FrameField] = {}
-
-
 def _field(chart: ManifoldChart, per_axis: int | None) -> FrameField:
-    key = (id(chart), per_axis)
-    ff = _FIELD_CACHE.get(key)
-    if ff is None or ff.chart is not chart:
-        ff = FrameField(chart, per_axis)
-        _FIELD_CACHE[key] = ff
-    return ff
+    """The chart's frame field, cached on the chart so the cache lives and
+    dies with it."""
+    cache = chart.__dict__.setdefault("_frame_fields", {})
+    if per_axis not in cache:
+        cache[per_axis] = FrameField(chart, per_axis)
+    return cache[per_axis]
 
 
 def _grid_lipschitz(values: np.ndarray, per_axis: int, d: int, mesh: float) -> np.ndarray:
@@ -366,14 +359,48 @@ def vertical_neighborhood_volume(
                     low_hits=hits < 100, extra={"box_volume": box_vol})
 
 
+def _lens_fraction(t, c: int) -> np.ndarray:
+    """Share of a unit ball in R^c covered by a unit ball at distance t.
+
+    The lens of two equal balls is two caps; the cap-volume identity (S. Li,
+    Asian J. Math. Stat., 2011) gives I_(1-(t/2)^2)((c+1)/2, 1/2), which is
+    0 from t = 2 on.
+    """
+    s = np.minimum(np.asarray(t, dtype=float) / 2.0, 1.0)
+    return betainc(0.5 * (c + 1), 0.5, 1.0 - s * s)
+
+
+def _live_cells(ff: FrameField, w: np.ndarray, reach: float) -> np.ndarray:
+    """Flat mask over the cells of ff's grid where |B(x) w| may be < reach.
+
+    A cell is ruled out when the least |B w| over its corners, less the
+    Lipschitz bound sup|grad| + slack of `_c2_stats` times the mesh
+    half-diagonal, is at least reach: every point of a cell lies within the
+    half-diagonal of one of its corners.
+    """
+    d, k = ff.chart.dim, ff.per_axis
+    vals, _, _, _, sup_g, _, slack = _c2_stats(ff, w[None, :])
+    low = vals[0].reshape((k,) * d)
+    for axis in range(d):
+        low = np.minimum(low.take(range(k - 1), axis), low.take(range(1, k), axis))
+    margin = (sup_g[0] + slack[0]) * 0.5 * ff.mesh * math.sqrt(d)
+    return (low - margin < reach).ravel()
+
+
 def pair_intersection_volume(
     f: CinematicMap, g: CinematicMap, delta: float, samples: int, rng: np.random.Generator
 ) -> MCVolume:
     """Volume of the intersection of the two vertical delta-slabs.
 
-    Importance sampler: x uniform in the cube, y uniform in the delta-ball
-    around f(x); the estimate is slab_volume * hit rate for |y - g(x)| <
-    delta, which is unbiased for the intersection volume.
+    Conditional Monte Carlo (Owen, Monte Carlo theory, methods and examples,
+    ch. 8): x is uniform in the cube and the fibre is integrated in closed
+    form.  Over x the slab of f holds the delta-ball around f(x), and the
+    slab of g covers the `_lens_fraction` at |h(x)| / delta of it, h = g - f.
+    The estimate is slab_volume * mean fraction over `samples` draws of x;
+    `hits` counts the draws with |h(x)| < 2 delta, the only ones with
+    weight.  Frames are built only for draws in the cells of the chart's
+    frame field that `_live_cells` keeps (`extra["evaluated"]`); every
+    other draw has weight exactly 0, so pruning does not change the result.
     """
     if f.chart is not g.chart:
         raise ValueError("pair_intersection_volume requires maps over the same chart")
@@ -381,23 +408,30 @@ def pair_intersection_volume(
     d, c = chart.dim, chart.n - 1
     slab = vertical_slab_volume(chart.n, delta)
     w = g.z - f.z
-    hits = 0
+    ff = _field(chart, None)
+    live = _live_cells(ff, w, 2.0 * delta)
+    cells = ff.per_axis - 1
+    strides = cells ** np.arange(d - 1, -1, -1)  # flat cell index, first axis slowest
+    total = total_sq = 0.0
+    hits = evaluated = 0
     chunk = 262_144
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
         x = rng.random((m, d))
-        B = frame_matrices(chart, x)
-        # y - g(x) = (y - f(x)) - (g - f)(x); only the difference map matters
-        offset = sample_ball(rng, c, m, delta)
-        hx = B @ w
-        hits += int(np.count_nonzero(np.linalg.norm(offset - hx, axis=-1) < delta))
+        x = x[live[np.minimum((x * cells).astype(np.intp), cells - 1) @ strides]]
+        t = np.linalg.norm(frame_matrices(chart, x) @ w, axis=-1) / delta
+        weight = _lens_fraction(t, c)
+        hits += int(np.count_nonzero(t < 2.0))
+        total += float(weight.sum())
+        total_sq += float(weight @ weight)
+        evaluated += x.shape[0]
         done += m
-    rate = hits / samples
-    value = slab * rate
-    stderr = slab * math.sqrt(max(rate * (1.0 - rate), 1e-300) / samples)
-    out = MCVolume(value=value, stderr=stderr, samples=samples, hits=hits,
-                   low_hits=hits < 100, extra={"slab_volume": slab})
+    mean = total / samples
+    sd = math.sqrt(max(total_sq / samples - mean * mean, 0.0))
+    out = MCVolume(value=slab * mean, stderr=slab * sd / math.sqrt(samples), samples=samples,
+                   hits=hits, low_hits=hits < 100,
+                   extra={"slab_volume": slab, "evaluated": evaluated})
     if out.low_hits:
         warnings.warn(
             f"pair_intersection_volume: only {hits} hits at delta={delta:g}; "

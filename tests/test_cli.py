@@ -236,7 +236,8 @@ def test_identical_runs_are_byte_identical(tmp_path, capsys):
         rc = cli.main(["manifold-info", "--config", cfg, "--out-dir", str(out), "--seed", "7"])
         assert rc == 0
         reports = [p for p in out.glob("report_*.json") if not p.name.endswith(".meta.json")]
-        outs.append((reports[0].read_bytes(), (out / "raw_manifold-info.csv").read_bytes()))
+        (csv,) = out.glob("raw_manifold-info_*.csv")
+        outs.append((reports[0].read_bytes(), csv.read_bytes()))
         shutil.rmtree(out)
     capsys.readouterr()
     assert outs[0][0] == outs[1][0]

@@ -1,10 +1,12 @@
 import json
 import warnings
+from datetime import datetime
 
 import numpy as np
 import pytest
 
 from projlab import cone as cones
+from projlab import experiments
 from projlab.experiments import (
     Configuration,
     ConfigurationError,
@@ -61,9 +63,9 @@ def test_report_write_names_and_sidecar(tmp_path, cap3):
     rep = run_manifold_info(cap3, seed=1, samples=200)
     paths = rep.write(tmp_path, timestamp="20260101T000000Z")
     assert paths["report"].endswith("report_manifold-info_20260101T000000Z.json")
-    assert paths["csv"].endswith("raw_manifold-info.csv")
+    assert paths["csv"].endswith("raw_manifold-info_20260101T000000Z.csv")
     assert paths["meta"].endswith("report_manifold-info_20260101T000000Z.meta.json")
-    text = (tmp_path / "raw_manifold-info.csv").read_text()
+    text = (tmp_path / "raw_manifold-info_20260101T000000Z.csv").read_text()
     assert text.splitlines()[0] == "delta,quantity,value,stderr,samples"
     assert len(text.splitlines()) == 1 + len(rep.measurements)
     meta = json.loads((tmp_path / "report_manifold-info_20260101T000000Z.meta.json").read_text())
@@ -71,6 +73,24 @@ def test_report_write_names_and_sidecar(tmp_path, cap3):
     assert meta["wall_clock_seconds"] > 0.0
     on_disk = (tmp_path / "report_manifold-info_20260101T000000Z.json").read_text()
     assert on_disk == rep.to_json()
+
+
+def test_writes_within_one_second_keep_every_report(tmp_path, monkeypatch):
+    class FrozenClock(datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2026, 1, 1, tzinfo=tz)
+
+    monkeypatch.setattr(experiments, "datetime", FrozenClock)
+    rep = ExperimentReport("t", {}, 0)
+    first, second = rep.write(tmp_path), rep.write(tmp_path)
+    assert first["report"].endswith("report_t_20260101T000000Z.json")
+    assert second["report"].endswith("report_t_20260101T000000Z-2.json")
+    assert second["csv"].endswith("raw_t_20260101T000000Z-2.csv")
+    assert len(list(tmp_path.glob("raw_t_*.csv"))) == 2
+    assert len(list(tmp_path.glob("report_t_*.meta.json"))) == 2
+    reports = [p for p in tmp_path.glob("report_t_*.json") if not p.name.endswith(".meta.json")]
+    assert len(reports) == 2 and all(p.read_text() == rep.to_json() for p in reports)
 
 
 def test_low_r2_refusal_branches():

@@ -1,11 +1,17 @@
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from projlab.manifold import frame_at, make_cap_chart
+from projlab import projmap
+from projlab.experiments import _aligned_pair as _driver_pair
+from projlab.manifold import frame_at, frame_matrices, make_cap_chart, make_perturbed_cap_chart
 from projlab.projmap import (
     CinematicMap,
+    _lens_fraction,
     c2_distance,
     cinematic_infimum,
     eval_map,
@@ -262,6 +268,85 @@ def test_pair_volume_delta_sweep_slope(cap3):
     design = np.vstack([js, np.ones(5)]).T
     slope = np.linalg.lstsq(design, np.log2(vols), rcond=None)[0][0]
     assert 2.75 <= slope <= 3.25
+
+
+def test_lens_fraction_matches_closed_forms():
+    t = np.linspace(0.0, 2.0, 81)
+    s = t / 2.0
+    disk = (2.0 / math.pi) * (np.arccos(s) - s * np.sqrt(1.0 - s * s))
+    ball = (2.0 + s) * (1.0 - s) ** 2 / 2.0
+    assert np.allclose(_lens_fraction(t, 2), disk, rtol=0.0, atol=1e-14)
+    assert np.allclose(_lens_fraction(t, 3), ball, rtol=0.0, atol=1e-14)
+    for c in (1, 2, 3, 4):
+        assert _lens_fraction(0.0, c) == 1.0
+        assert np.all(_lens_fraction([2.0, 2.5, 1e9], c) == 0.0)
+
+
+def _unpruned_volume(f, g, delta, samples, rng):
+    """The conditional estimator with a frame for every draw of x."""
+    chart = f.chart
+    t = []
+    for start in range(0, samples, 262_144):
+        x = rng.random((min(262_144, samples - start), chart.dim))
+        t.append(np.linalg.norm(frame_matrices(chart, x) @ (g.z - f.z), axis=-1) / delta)
+    t = np.concatenate(t)
+    value = vertical_slab_volume(chart.n, delta) * _lens_fraction(t, chart.n - 1).mean()
+    return value, int(np.count_nonzero(t < 2.0))
+
+
+# two chunks of draws on the caps; one on the perturbed cap, whose
+# finite-difference frames cost over 20 times as much per row
+@pytest.mark.parametrize("chart, samples", [
+    (make_cap_chart(3, 0.6), 300_000),
+    (make_cap_chart(4, 0.6), 300_000),
+    (make_perturbed_cap_chart(3, 0.6, amplitude=0.01, frequency=2.0), 30_000),
+], ids=["cap3", "cap4", "perturbed3"])
+def test_pruned_frames_leave_the_estimate_unchanged(chart, samples):
+    evaluated = drawn = 0
+    for i, u in enumerate((0.5, 0.25, 0.125, 0.0625, 0.03125)):
+        f, g = _driver_pair(chart, rng_stream(5, i), u)
+        for delta in (2.0**-8, 2.0**-11):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                mv = pair_intersection_volume(f, g, delta, samples, rng_stream(6, i))
+            value, hits = _unpruned_volume(f, g, delta, samples, rng_stream(6, i))
+            assert mv.hits == hits
+            assert mv.value == pytest.approx(value, rel=1e-12, abs=0.0)
+            evaluated += mv.extra["evaluated"]
+            drawn += mv.samples
+    assert evaluated < 0.5 * drawn
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conditional_volume_agrees_with_joint_sampling(n):
+    chart = make_cap_chart(n, 0.6)
+    f, g = _driver_pair(chart, rng_stream(9, n), 0.25)
+    delta, samples = 2.0**-7, 1_000_000
+    mv = pair_intersection_volume(f, g, delta, samples, rng_stream(10, n))
+    # joint sampler: x uniform, y uniform in the delta-ball around f(x),
+    # a hit when y lies within delta of g(x)
+    rng = rng_stream(11, n)
+    x = rng.random((samples, chart.dim))
+    y = sample_ball(rng, n - 1, samples, delta)
+    gap = y - frame_matrices(chart, x) @ (g.z - f.z)
+    rate = np.count_nonzero(np.linalg.norm(gap, axis=-1) < delta) / samples
+    slab = vertical_slab_volume(n, delta)
+    joint, joint_se = slab * rate, slab * math.sqrt(rate * (1.0 - rate) / samples)
+    assert rate * samples >= 1000
+    assert abs(mv.value - joint) <= 4.0 * math.hypot(mv.stderr, joint_se)
+    assert mv.stderr < joint_se
+
+
+def test_frame_field_lives_and_dies_with_the_chart():
+    chart = make_cap_chart(3, 0.6)
+    f, g = CinematicMap(chart, np.zeros(3)), CinematicMap(chart, np.array([0.2, 0.0, 0.0]))
+    c2_distance(f, g)
+    field = projmap._field(chart, None)
+    assert projmap._field(chart, None) is field
+    ref = weakref.ref(field)
+    del chart, f, g, field
+    gc.collect()
+    assert ref() is None
 
 
 def test_pair_volume_warns_on_starved_estimate(cap3):
