@@ -106,7 +106,7 @@ _SCHEMAS = {
     },
 }
 
-_RUN_KEYS = {"experiments", "seed", "out_dir", "threads"}
+_RUN_KEYS = {"experiments", "seed", "out_dir"}
 _MANIFOLD_KEYS = {"kind", "n", "c", "amplitude", "frequency"}
 _FRACTAL_KEYS = {"m", "ratio", "level", "placement", "n", "axes", "rotate_to_x"}
 
@@ -125,7 +125,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     seed: int = 0
     out_dir: str = "reports"
-    threads: int = 1
 
 
 def _parse_scalar(raw, kind, path, errors):
@@ -141,6 +140,30 @@ def _parse_scalar(raw, kind, path, errors):
     return None
 
 
+def _is_dyadic(v, n) -> bool:
+    try:
+        sets.scale_exponent(v)
+    except sets.ScaleError:
+        return False
+    return True
+
+
+# constraint named in _SCHEMAS -> predicate on (value, ambient dimension n)
+_CONSTRAINTS = {
+    "positive": lambda v, n: v > 0,
+    ">= 0": lambda v, n: v >= 0,
+    ">= 1": lambda v, n: v >= 1,
+    ">= 9": lambda v, n: v >= 9,
+    "in (0, 1)": lambda v, n: 0 < v < 1,
+    "each in (0, 1)": lambda v, n: 0 < v < 1,
+    "in (0, 1]": lambda v, n: 0 < v <= 1,
+    "each in [0, 1]": lambda v, n: 0 <= v <= 1,
+    "in [3, 12]": lambda v, n: 3 <= v <= 12,
+    "each in (0, n)": lambda v, n: 0 < v < n,
+    "dyadic": _is_dyadic,
+}
+
+
 def _check_constraint(value, constraint, path, errors, n):
     if value is None or constraint is None:
         return
@@ -148,32 +171,9 @@ def _check_constraint(value, constraint, path, errors, n):
     if not vals:
         errors.append(f"{path}: empty list")
         return
+    ok = _CONSTRAINTS[constraint]
     for v in vals:
-        ok = True
-        if constraint == "positive":
-            ok = v > 0
-        elif constraint == ">= 0":
-            ok = v >= 0
-        elif constraint == ">= 1":
-            ok = v >= 1
-        elif constraint == ">= 9":
-            ok = v >= 9
-        elif constraint == "in (0, 1)" or constraint == "each in (0, 1)":
-            ok = 0 < v < 1
-        elif constraint == "in (0, 1]":
-            ok = 0 < v <= 1
-        elif constraint == "each in [0, 1]":
-            ok = 0 <= v <= 1
-        elif constraint == "in [3, 12]":
-            ok = 3 <= v <= 12
-        elif constraint == "each in (0, n)":
-            ok = 0 < v < n
-        elif constraint == "dyadic":
-            try:
-                sets.scale_exponent(v)
-            except Exception:
-                ok = False
-        if not ok:
+        if not ok(v, n):
             errors.append(f"{path}: value {v} outside {constraint}")
 
 
@@ -277,7 +277,7 @@ def parse_config(path) -> ExperimentConfig:
     for name in cp.sections():
         if name not in known_sections:
             errors.append(f"{name}: unknown section")
-    seed, out_dir, threads = 0, "reports", 1
+    seed, out_dir = 0, "reports"
     experiments: list[str] = []
     if cp.has_section("run"):
         sec = cp["run"]
@@ -298,13 +298,6 @@ def parse_config(path) -> ExperimentConfig:
                     seed = v
         if "out_dir" in sec:
             out_dir = sec["out_dir"]
-        if "threads" in sec:
-            v = _parse_scalar(sec["threads"], _INT, "run.threads", errors)
-            if v is not None:
-                if v < 1:
-                    errors.append(f"run.threads: {v} below 1")
-                else:
-                    threads = v
     manifold = _parse_manifold(cp, errors)
     fractal = _parse_fractal(cp, manifold.get("n", 3), errors)
     params: dict = {}
@@ -341,7 +334,7 @@ def parse_config(path) -> ExperimentConfig:
         params[name] = kwargs
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(experiments, manifold, fractal, params, seed, out_dir, threads)
+    return ExperimentConfig(experiments, manifold, fractal, params, seed, out_dir)
 
 
 def _build_fractal(cfg: ExperimentConfig, chart):
@@ -363,7 +356,6 @@ def dispatch(cfg: ExperimentConfig) -> int:
     run_snapshot = {
         "seed": cfg.seed,
         "out_dir": cfg.out_dir,
-        "threads": cfg.threads,
         "experiments": list(cfg.experiments),
     }
     worst = 0
@@ -417,7 +409,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--out-dir", help="report output directory")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--threads", type=int, help="cap worker parallelism")
     parser.add_argument("--experiment", dest="experiment_flag",
                         choices=EXPERIMENT_NAMES,
                         help="experiment to run (same as the positional form)")
@@ -445,11 +436,6 @@ def main(argv=None) -> int:
             print("config error: --seed must be nonnegative", file=sys.stderr)
             return 2
         cfg.seed = args.seed
-    if args.threads is not None:
-        if args.threads < 1:
-            print("config error: --threads must be at least 1", file=sys.stderr)
-            return 2
-        cfg.threads = args.threads
     return dispatch(cfg)
 
 

@@ -298,10 +298,10 @@ def run_manifold_info(chart: ManifoldChart, seed: int = 0, samples: int = 1000) 
     angle = float(np.linalg.norm(R, axis=(1, 2)).max())
     rep.record(0.0, "tangent_duality_angle", angle, samples=samples)
     rep.checks["tangent_duality_ok"] = bool(angle <= 1e-7)
-    height = getattr(chart, "c", None)
-    if height is not None:
+    # only an unperturbed cap has its dual at one closed-form height
+    if isinstance(chart, manifold.CapChart):
         dual_pts = dual.point(x)
-        expected = math.copysign(math.sqrt(1.0 - height * height), height)
+        expected = math.copysign(math.sqrt(1.0 - chart.c * chart.c), chart.c)
         h_err = float(np.abs(dual_pts[:, -1] - expected).max())
         rep.record(0.0, "dual_height_error", h_err, samples=samples)
         rep.checks["dual_height_ok"] = bool(h_err <= 1e-9)

@@ -142,23 +142,31 @@ def _sphere_embed(u: np.ndarray, order: int = 2):
     return y, dy, d2y
 
 
-def _fd_tensor(func, x: np.ndarray, d: int, step: float = FD_STEP) -> np.ndarray:
+def _fd_tensor(func, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """Fourth-order central difference of `func` along each parameter axis.
 
     `func` maps (..., d) parameters to arrays with trailing value axes; the
-    result gains one final axis of length d.  Evaluation slightly outside
-    [0,1]^d is deliberate: every chart formula extends analytically.
+    result gains one final axis of length d = x.shape[-1].  Evaluation
+    slightly outside [0,1]^d is deliberate: every chart formula extends
+    analytically.
     """
-    base = func(x)
-    out = np.zeros(base.shape + (d,))
-    for j in range(d):
-        acc = np.zeros_like(base)
+    x = np.asarray(x, dtype=float)
+    columns = []
+    for j in range(x.shape[-1]):
+        acc = 0.0  # the first term sets the shape: func(x) is never needed
         for off, wgt in zip(_FD4_OFFSETS, _FD4_WEIGHTS):
-            xs = np.array(x, dtype=float, copy=True)
+            xs = x.copy()
             xs[..., j] += off * step
             acc += wgt * func(xs)
-        out[..., j] = acc / step
-    return out
+        columns.append(acc / step)
+    return np.stack(columns, axis=-1)
+
+
+def _fd_hessian(jacobian, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+    """Symmetrized `_fd_tensor` of a Jacobian: its last two axes are the
+    two derivative axes."""
+    h = _fd_tensor(jacobian, x, step)
+    return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +365,10 @@ class PerturbedCapChart(ManifoldChart):
         return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
     def jacobian(self, x):
-        return _fd_tensor(self.point, np.asarray(x, dtype=float), self.dim)
+        return _fd_tensor(self.point, x)
 
     def hessian(self, x):
-        h = _fd_tensor(self.jacobian, np.asarray(x, dtype=float), self.dim)
-        return 0.5 * (h + np.swapaxes(h, -1, -2))
+        return _fd_hessian(self.jacobian, x)
 
     def _preflight(self):
         d = self.dim
@@ -420,8 +427,7 @@ class DualChart(ManifoldChart):
         return self.base.normal_jacobian(x)
 
     def hessian(self, x):
-        h = _fd_tensor(self.jacobian, np.asarray(x, dtype=float), self.dim)
-        return 0.5 * (h + np.swapaxes(h, -1, -2))
+        return _fd_hessian(self.jacobian, x)
 
     def normal(self, x):
         return self._orient * self.base.point(x)

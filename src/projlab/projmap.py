@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import betainc
 
-from .manifold import ManifoldChart, _sample_grid, frame_matrices
+from .manifold import ManifoldChart, _fd_hessian, _sample_grid, frame_matrices
 from .util import unit_ball_volume, unit_directions
 
 __all__ = [
@@ -58,10 +59,8 @@ class CinematicMap:
 
     def gradient(self, x) -> np.ndarray:
         """(n-1) x (n-2) Jacobian of f_z at x (batched)."""
-        return _map_gradient(self.chart, self.z, np.asarray(x, dtype=float))
-
-    def hessian(self, x) -> np.ndarray:
-        return _map_hessian(self.chart, self.z, np.asarray(x, dtype=float))
+        dB = _frame_derivative(self.chart, np.asarray(x, dtype=float))
+        return np.einsum("...ckj,k->...cj", dB, self.z)
 
 
 def eval_map(chart: ManifoldChart, z, x) -> np.ndarray:
@@ -72,31 +71,15 @@ def eval_map(chart: ManifoldChart, z, x) -> np.ndarray:
 # frame tensor fields
 
 
-_FD_STEP = 2e-4
-_FD4 = ((-2.0, 1.0 / 12.0), (-1.0, -8.0 / 12.0), (1.0, 8.0 / 12.0), (2.0, -1.0 / 12.0))
+def _frame_derivative(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
+    """d/dx of the frame rows: Hessian columns for e_i, Weingarten for nu.
 
-
-def _map_gradient(chart: ManifoldChart, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise derivative of B(x) z: Hessian columns for e-rows, Weingarten for nu."""
+    Shape (..., n-1, n, n-2): the derivative axis is last.
+    """
     H = chart.hessian(x)
     dnu = chart.normal_jacobian(x)
-    ge = np.einsum("...kij,k->...ij", H, z) / chart.m_sigma
-    gn = np.einsum("...kj,k->...j", dnu, z)
-    return np.concatenate([ge, gn[..., None, :]], axis=-2)
-
-
-def _map_hessian(chart: ManifoldChart, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    d = chart.dim
-    base = _map_gradient(chart, z, x)
-    out = np.zeros(base.shape + (d,))
-    for j in range(d):
-        acc = np.zeros_like(base)
-        for off, wgt in _FD4:
-            xs = np.array(x, dtype=float, copy=True)
-            xs[..., j] += off * _FD_STEP
-            acc += wgt * _map_gradient(chart, z, xs)
-        out[..., j] = acc / _FD_STEP
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    de = np.einsum("...kij->...ikj", H) / chart.m_sigma
+    return np.concatenate([de, dnu[..., None, :, :]], axis=-3)
 
 
 class FrameField:
@@ -113,33 +96,12 @@ class FrameField:
         self.chart = chart
         self.per_axis = per_axis
         self.mesh = 1.0 / (per_axis - 1)
+        # every point of the cube lies within this distance of a grid node
+        self.half_diag = 0.5 * self.mesh * math.sqrt(d)
         self.x = _sample_grid(d, per_axis)
         self.B = frame_matrices(chart, self.x)
-        self.dB = self._frame_derivative(self.x)
-        self.d2B = self._frame_second_derivative(self.x)
-
-    # -- tensor assembly ----------------------------------------------------
-
-    def _frame_derivative(self, x) -> np.ndarray:
-        """d/dx of the frame rows: Hessian columns for e_i, Weingarten for nu."""
-        ch = self.chart
-        H = ch.hessian(x)
-        dnu = ch.normal_jacobian(x)
-        de = np.einsum("...kij->...ikj", H) / ch.m_sigma
-        return np.concatenate([de, dnu[..., None, :, :]], axis=-3)
-
-    def _frame_second_derivative(self, x) -> np.ndarray:
-        d = self.chart.dim
-        out = np.zeros(self.dB.shape + (d,))
-        for j in range(d):
-            acc = np.zeros_like(self.dB)
-            for off, wgt in _FD4:
-                xs = np.array(x, copy=True)
-                xs[..., j] += off * _FD_STEP
-                acc += wgt * self._frame_derivative(xs)
-            out[..., j] = acc / _FD_STEP
-        # symmetrize the two derivative axes
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
+        self.dB = _frame_derivative(chart, self.x)
+        self.d2B = _fd_hessian(partial(_frame_derivative, chart), self.x, step=2e-4)
 
     # -- batched per-displacement suprema -----------------------------------
 
@@ -195,7 +157,8 @@ class C2Distance:
 
 
 def _c2_stats(ff: FrameField, W: np.ndarray):
-    """Per-displacement sup-norms (value, gradient op, Hessian form) + slacks."""
+    """Grid value norms (P, G), then per-displacement sup-norms (value,
+    gradient op, Hessian form) and slacks."""
     d = ff.chart.dim
     vals = np.linalg.norm(ff.values(W), axis=-1)  # (P, G)
     grads = ff.gradients(W)  # (P, G, c, d)
@@ -212,12 +175,11 @@ def _c2_stats(ff: FrameField, W: np.ndarray):
     sup_v = vals.max(axis=-1)
     sup_g = gnorm.max(axis=-1)
     sup_h = hnorm.max(axis=-1)
-    half_diag = 0.5 * ff.mesh * math.sqrt(d)
     lip_v = _grid_lipschitz(vals, ff.per_axis, d, ff.mesh)
     lip_g = _grid_lipschitz(gnorm, ff.per_axis, d, ff.mesh)
     lip_h = _grid_lipschitz(hnorm, ff.per_axis, d, ff.mesh)
-    slack = np.maximum(np.maximum(lip_v, lip_g), lip_h) * half_diag
-    return vals, gnorm, hnorm, sup_v, sup_g, sup_h, slack
+    slack = np.maximum(np.maximum(lip_v, lip_g), lip_h) * ff.half_diag
+    return vals, sup_v, sup_g, sup_h, slack
 
 
 def c2_distance(f: CinematicMap, g: CinematicMap, per_axis: int | None = None) -> C2Distance:
@@ -226,7 +188,7 @@ def c2_distance(f: CinematicMap, g: CinematicMap, per_axis: int | None = None) -
         raise ValueError("c2_distance requires maps over the same chart")
     ff = _field(f.chart, per_axis)
     w = (f.z - g.z)[None, :]
-    _, _, _, sv, sg, sh, slack = _c2_stats(ff, w)
+    _, sv, sg, sh, slack = _c2_stats(ff, w)
     value = float(max(sv[0], sg[0], sh[0]))
     return C2Distance(
         value=value,
@@ -262,51 +224,61 @@ def cinematic_infimum(
 ) -> InfimumCertificate:
     """Certified lower bound of inf_(x,xi) (|h(x)| + |grad_xi h(x)|), h = f - g.
 
-    The infimum runs over parameter points and unit directions xi.  The raw
-    grid minimum is reduced by (sup|grad| + sup|Hess|) times the mesh
-    half-diagonal plus a direction-mesh term, so a positive `certified`
-    value genuinely separates the two maps.
+    The infimum runs over parameter points and unit directions xi; this is
+    the single-pair case of `_certificates`, which states the margin.
     """
     if f.chart is not g.chart:
         raise ValueError("cinematic_infimum requires maps over the same chart")
     if np.array_equal(f.z, g.z):
         raise ValueError("degenerate pair: the two maps coincide")
     ff = _field(f.chart, per_axis)
+    cert = _certificates(ff, (f.z - g.z)[None, :], xi_count)
+    return InfimumCertificate(
+        raw=float(cert["raw"][0]),
+        certified=float(cert["certified"][0]),
+        margin=float(cert["margin"][0]),
+        norm_c2=float(cert["norm_c2"][0]),
+        norm_upper=float(cert["norm_upper"][0]),
+        ratio=float(cert["ratio"][0]),
+        argmin_x=ff.x[cert["argmin"][0]],
+        grid_per_axis=ff.per_axis,
+    )
+
+
+def _certificates(ff: FrameField, W: np.ndarray, xi_count: int | None) -> dict:
+    """Certified infima of |h| + |grad_xi h| for h = B(x) w, per row w of W.
+
+    The objective is minimized over the grid nodes and xi_count unit
+    directions xi.  The grid minimum `raw` is reduced by the `margin`
+    (sup|grad| + sup|Hess|) times the mesh half-diagonal plus sup|grad|
+    times half the direction mesh, so a positive `certified` value
+    genuinely separates the maps.  `ratio` is certified over the C^2 norm's
+    upper estimate `norm_upper` (inf when that is 0), `c1` the C^1 norm and
+    `argmin` the grid index of the minimizing node; all are arrays over W.
+    """
     d = ff.chart.dim
-    w = (f.z - g.z)[None, :]
-    vals, gnorm, _, sup_v, sup_g, sup_h, slack = _c2_stats(ff, w)
-    grads = ff.gradients(w)[0]  # (G, c, d)
+    vals, sup_v, sup_g, sup_h, slack = _c2_stats(ff, W)
     if xi_count is None:
         xi_count = {1: 2, 2: 64, 3: 192}[d]
     xi = unit_directions(d, xi_count)
-    dgrad = np.linalg.norm(np.einsum("gcj,kj->gkc", grads, xi), axis=-1)  # (G, K)
-    objective = vals[0][:, None] + dgrad
-    flat = int(np.argmin(objective))
-    gi, ki = divmod(flat, xi.shape[0])
-    raw = float(objective[gi, ki])
-    half_diag = 0.5 * ff.mesh * math.sqrt(d)
-    margin_x = (sup_g[0] + sup_h[0]) * half_diag
+    dgrad = np.linalg.norm(np.einsum("pgcj,kj->pgkc", ff.gradients(W), xi), axis=-1)
+    objective = (vals[:, :, None] + dgrad).reshape(W.shape[0], -1)
+    raw = objective.min(axis=-1)
     if d == 1:
-        margin_xi = 0.0
+        xi_margin = 0.0
     else:
         # neighboring xi samples are within ~2pi/K on the sphere of directions
         xi_mesh = 2.0 * math.pi / xi_count if d == 2 else 2.0 * math.sqrt(4.0 * math.pi / xi_count)
-        margin_xi = sup_g[0] * 0.5 * xi_mesh
-    margin = float(margin_x + margin_xi)
-    norm = float(max(sup_v[0], sup_g[0], sup_h[0]))
-    norm_upper = norm + float(slack[0])
+        xi_margin = 0.5 * xi_mesh
+    margin = (sup_g + sup_h) * ff.half_diag + sup_g * xi_margin
     certified = raw - margin
-    ratio = certified / norm_upper if norm_upper > 0.0 else math.inf
-    return InfimumCertificate(
-        raw=raw,
-        certified=float(certified),
-        margin=margin,
-        norm_c2=norm,
-        norm_upper=float(norm_upper),
-        ratio=float(ratio),
-        argmin_x=ff.x[gi],
-        grid_per_axis=ff.per_axis,
-    )
+    norm_c2 = np.maximum(np.maximum(sup_v, sup_g), sup_h)
+    norm_upper = norm_c2 + slack
+    ratio = np.divide(certified, norm_upper, out=np.full_like(certified, math.inf),
+                      where=norm_upper > 0.0)
+    return {"raw": raw, "certified": certified, "margin": margin, "norm_c2": norm_c2,
+            "norm_upper": norm_upper, "ratio": ratio, "c1": np.maximum(sup_v, sup_g),
+            "argmin": objective.argmin(axis=-1) // xi_count}
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +351,11 @@ def _live_cells(ff: FrameField, w: np.ndarray, reach: float) -> np.ndarray:
     half-diagonal of one of its corners.
     """
     d, k = ff.chart.dim, ff.per_axis
-    vals, _, _, _, sup_g, _, slack = _c2_stats(ff, w[None, :])
+    vals, _, sup_g, _, slack = _c2_stats(ff, w[None, :])
     low = vals[0].reshape((k,) * d)
     for axis in range(d):
         low = np.minimum(low.take(range(k - 1), axis), low.take(range(1, k), axis))
-    margin = (sup_g[0] + slack[0]) * 0.5 * ff.mesh * math.sqrt(d)
+    margin = (sup_g[0] + slack[0]) * ff.half_diag
     return (low - margin < reach).ravel()
 
 
@@ -545,45 +517,25 @@ def survey_family(
     """
     zs = np.asarray(zs, dtype=float)
     ff = _field(chart, per_axis)
-    d = chart.dim
     idx = rng.integers(0, zs.shape[0], size=(pair_count, 2))
     idx = idx[idx[:, 0] != idx[:, 1]]
     W = zs[idx[:, 0]] - zs[idx[:, 1]]
     sep = np.linalg.norm(W, axis=-1)
-    vals, gnorm, hnorm, sup_v, sup_g, sup_h, slack = _c2_stats(ff, W)
-    grads = ff.gradients(W)
-    if xi_count is None:
-        xi_count = {1: 2, 2: 64, 3: 192}[d]
-    xi = unit_directions(d, xi_count)
-    dgrad = np.linalg.norm(np.einsum("pgcj,kj->pgkc", grads, xi), axis=-1)
-    objective = vals[:, :, None] + dgrad
-    raw = objective.reshape(objective.shape[0], -1).min(axis=-1)
-    half_diag = 0.5 * ff.mesh * math.sqrt(d)
-    if d == 1:
-        margin_xi = 0.0
-    else:
-        xi_mesh = 2.0 * math.pi / xi_count if d == 2 else 2.0 * math.sqrt(4.0 * math.pi / xi_count)
-        margin_xi = 0.5 * xi_mesh
-    margin = (sup_g + sup_h) * half_diag + sup_g * margin_xi
-    certified = raw - margin
-    norm_c2 = np.maximum(np.maximum(sup_v, sup_g), sup_h)
-    norm_upper = norm_c2 + slack
-    ratios = certified / norm_upper
-    c1 = np.maximum(sup_v, sup_g)
-    bil = c1 / sep
+    cert = _certificates(ff, W, xi_count)
+    bil = cert["c1"] / sep
     # doubling constant: largest (r/2)-packing of a C^1 ball of radius r,
     # measured in the displacement surrogate metric
     hi_scale = float(bil.max())
     D_est = _doubling_estimate(zs, hi_scale, rng)
     return CinematicReport(
-        K_est=float(1.0 / max(ratios.min(), 1e-300)),
+        K_est=float(1.0 / max(cert["ratio"].min(), 1e-300)),
         D_est=D_est,
         bilipschitz_lo=float(bil.min()),
         bilipschitz_hi=float(bil.max()),
         samples=int(W.shape[0]),
-        diameter_c2=float(norm_c2.max()),
-        min_ratio=float(ratios.min()),
-        all_certified=bool(np.all(certified > 0.0)),
+        diameter_c2=float(cert["norm_c2"].max()),
+        min_ratio=float(cert["ratio"].min()),
+        all_certified=bool(np.all(cert["certified"] > 0.0)),
         grid_per_axis=ff.per_axis,
     )
 

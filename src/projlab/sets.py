@@ -69,6 +69,8 @@ def scale_exponent(delta: float) -> int:
     """k such that delta = 2^-k exactly; rejects non-dyadic or too-fine scales."""
     if delta <= 0.0:
         raise ScaleError(f"scale must be positive, got {delta}")
+    if not math.isfinite(delta):
+        raise ScaleError(f"scale must be finite, got {delta}")
     k = round(-math.log2(delta))
     if k < 0 or k > _MAX_SCALE_EXP:
         raise ScaleError(f"scale 2^-{k} outside supported range (0 <= k <= {_MAX_SCALE_EXP})")

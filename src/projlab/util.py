@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,16 +83,3 @@ def fit_line(x, y, w=None) -> LogLogFit:
     ssr = (w * resid ** 2).sum()
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     return LogLogFit(float(slope), float(intercept), float(r2), resid)
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Order-preserving map, optionally on a thread pool.
-
-    Results are reduced in input order, so outputs do not depend on the
-    thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -131,7 +131,6 @@ def test_defaults_without_config_sections(tmp_path):
     assert parsed.manifold == {"kind": "cap", "n": 3, "c": 0.6}
     assert parsed.fractal is None
     assert parsed.seed == 0
-    assert parsed.threads == 1
     assert parsed.out_dir == "reports"
 
 
@@ -208,13 +207,30 @@ def test_negative_seed_flag_rejected(capsys):
 
 
 def test_bad_threads_rejected(tmp_path, capsys):
-    rc = cli.main(["manifold-info", "--threads", "0"])
-    assert rc == 2
+    # there is no thread option: both spellings are unknown
+    with pytest.raises(SystemExit) as e:
+        cli.main(["manifold-info", "--threads", "1"])
+    assert e.value.code == 2
     assert "--threads" in capsys.readouterr().err
-    cfg = write_config(tmp_path, "[run]\nthreads = 0\n")
+    cfg = write_config(tmp_path, "[run]\nthreads = 1\n")
     rc = cli.main(["manifold-info", "--config", cfg])
     assert rc == 2
-    assert "run.threads" in capsys.readouterr().err
+    assert "run.threads: unknown key" in capsys.readouterr().err
+
+
+def test_every_schema_constraint_has_a_predicate():
+    named = {c for schema in cli._SCHEMAS.values() for _, c in schema.values()}
+    assert named - {None} <= set(cli._CONSTRAINTS)
+
+
+def test_non_finite_scales_are_not_dyadic(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[pair-volume]\ndeltas = 0.25, inf, nan\n")
+    rc = cli.main(["pair-volume", "--config", cfg])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pair-volume.deltas: value inf outside dyadic" in err
+    assert "pair-volume.deltas: value nan outside dyadic" in err
+    assert "0.25" not in err
 
 
 def test_s_grid_at_or_above_ambient_dimension_rejected(tmp_path, capsys):

@@ -24,7 +24,7 @@ from projlab.experiments import (
     run_pair_volume_sweep,
     run_projection_dimension_sweep,
 )
-from projlab.manifold import make_cap_chart
+from projlab.manifold import make_cap_chart, make_perturbed_cap_chart
 from projlab.sets import build_cantor_dust, product_fractal
 
 
@@ -101,12 +101,18 @@ def test_low_r2_refusal_branches():
     assert _refuse_low_r2(rep, True, 0.95) == "pass"
 
 
-def test_manifold_info_checks(cap3):
-    rep = run_manifold_info(cap3, seed=0, samples=500)
+@pytest.mark.parametrize("kind", ["cap", "perturbed-cap"])
+def test_manifold_info_checks(cap3, kind):
+    # a perturbed cap's dual is not at constant height: no such check
+    chart = cap3 if kind == "cap" else make_perturbed_cap_chart(3, 0.6, 0.01, 2.0)
+    rep = run_manifold_info(chart, seed=0, samples=500)
     assert rep.verdict == "pass"
     assert rep.checks["kappa_product_ok"]
     assert rep.checks["tangent_duality_ok"]
-    assert rep.checks["dual_height_ok"]
+    if kind == "cap":
+        assert rep.checks["dual_height_ok"]
+    else:
+        assert "dual_height_ok" not in rep.checks
     names = {m["quantity"] for m in rep.measurements}
     assert "kappa_product_error" in names
     assert any(q.startswith("constant_") for q in names)

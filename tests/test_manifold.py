@@ -111,6 +111,22 @@ def test_perturbed_amplitude_keeps_convexity():
     assert kap.min() > 0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_perturbed_jacobian_makes_four_point_calls_per_axis(n):
+    pz = make_perturbed_cap_chart(n, 0.6, amplitude=0.01, frequency=1.0)
+    calls = []
+    point = pz.point
+
+    def counting(x):
+        calls.append(x.shape)
+        return point(x)
+
+    pz.point = counting
+    x = rng(8).random((20, pz.dim))
+    assert pz.jacobian(x).shape == (20, n, pz.dim)
+    assert len(calls) == 4 * pz.dim
+
+
 def test_perturbed_large_amplitude_rejected():
     with pytest.raises(NonConvexityError):
         make_perturbed_cap_chart(3, 0.6, amplitude=0.4, frequency=6.0)

@@ -187,6 +187,28 @@ def test_family_survey_certifies_every_pair(cap3):
     assert r1.D_est >= 1.0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_two_point_survey_is_the_pair_certificate(cap3, n):
+    # every sampled pair is +-(z0 - z1), so the survey's worst pair is the pair
+    chart = cap3 if n == 3 else make_cap_chart(4, 0.6)
+    zs = sample_ball(rng_stream(12, n), n, 2, 0.5)
+    report = survey_family(chart, zs, 16, rng_stream(12, 0))
+    cert = cinematic_infimum(CinematicMap(chart, zs[0]), CinematicMap(chart, zs[1]))
+    assert report.samples > 0
+    assert report.min_ratio == cert.ratio
+    assert report.diameter_c2 == cert.norm_c2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_map_gradient_matches_the_frame_field(cap3, n):
+    chart = cap3 if n == 3 else make_cap_chart(4, 0.6)
+    ff = projmap._field(chart, None)
+    z = np.linspace(-0.2, 0.3, n)
+    ref = ff.gradients(z)[0]
+    got = CinematicMap(chart, z).gradient(ff.x)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_constant_map_tube_volume(cap3):
     f = CinematicMap(cap3, np.zeros(3))
     delta = 1.0 / 16.0

@@ -38,7 +38,7 @@ def triadic_level3_centers():
 def test_scale_exponent_accepts_dyadic_only():
     assert scale_exponent(0.5) == 1
     assert scale_exponent(2.0**-12) == 12
-    for bad in (0.3, 1.0 / 27.0, 3.0):
+    for bad in (0.3, 1.0 / 27.0, 3.0, float("inf"), float("nan")):
         with pytest.raises(ScaleError):
             scale_exponent(bad)
 
