@@ -10,11 +10,11 @@ from d to Sigma union -Sigma, as long as the radial foot r = |p-z| cos
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import ManifoldChart, _sample_grid
+from .manifold import ManifoldChart
 
 __all__ = [
     "Cone",
@@ -22,19 +22,14 @@ __all__ = [
     "Cuts",
     "GeneratrixError",
     "ApexError",
-    "ProjectionError",
     "cone_distance",
     "nearest_direction",
     "tangent_plane_angle",
     "line_cone_points",
     "line_cone_tube_volume",
     "tube_components",
-    "graph_gradient_bound",
-    "tangency_locus",
     "make_transversal_lines",
     "TubeReport",
-    "GradientReport",
-    "TangencyProfile",
 ]
 
 
@@ -43,10 +38,6 @@ class GeneratrixError(ValueError):
 
 
 class ApexError(ValueError):
-    pass
-
-
-class ProjectionError(ValueError):
     pass
 
 
@@ -406,9 +397,12 @@ class TubeReport:
     components: int
     min_tangent_angle: float
     angle_flag: bool
+    evaluated: int  # samples whose cone distance was computed
 
 
 def _tube_samples(line: LineSegment, delta: float, count: int, rng: np.random.Generator):
+    """Uniform points of the segment's delta-tube and the clamped axial
+    parameter of each (the foot's t in [t0, t1])."""
     n = line.base.shape[0]
     ts = rng.uniform(line.t0 - delta, line.t1 + delta, size=count)
     # orthonormal complement of the direction
@@ -421,7 +415,7 @@ def _tube_samples(line: LineSegment, delta: float, count: int, rng: np.random.Ge
     tt = np.clip(((pts - line.base) @ line.direction), line.t0, line.t1)
     foot = line.base + tt[:, None] * line.direction
     inside = np.linalg.norm(pts - foot, axis=1) < delta
-    return pts[inside]
+    return pts[inside], tt[inside]
 
 
 def _complement_basis(u: np.ndarray) -> np.ndarray:
@@ -440,13 +434,35 @@ def _tube_volume_exact(line: LineSegment, delta: float) -> float:
     return cyl + caps
 
 
+# Slack added to the node threshold of the tube pruning rule.  A computed
+# cone distance is the distance to an actual cone point, so it can only
+# overestimate, and an overestimate at a grid node could rule out a real hit.
+# The overestimate is about |p - apex| times the error in the sine of the
+# angle to the cross-section.  The nodes that matter lie within 1 + 3*delta
+# of the apex (the cone lies in the unit ball around it), and the largest
+# sine error `nearest_direction` has been seen to make is 6.2e-5 (n = 4,
+# optimum on a face of the parameter cube), so 1e-4 suffices for
+# delta <= 1/8.  At grid nodes within 3*delta of the cone, on cone-incidence
+# lines at n = 3 and n = 4, it stayed below 1e-15.
+_NODE_SLACK = 1e-4
+
+
+def _distance_grid(cone: Cone, line: LineSegment, delta: float) -> np.ndarray:
+    """Cone distance at the nodes t0, t0 + s, ... (s = delta/4, covering
+    [t0, t1]) along the segment."""
+    step = delta / 4.0
+    return cone_distance(cone, line.point(np.arange(line.t0, line.t1 + step, step)))
+
+
+def _slice_components(node_dist: np.ndarray, delta: float) -> int:
+    near = node_dist < 2.0 * delta
+    return int(np.count_nonzero(np.diff(near.astype(int)) == 1) + int(near[0]))
+
+
 def tube_components(cone: Cone, line: LineSegment, delta: float) -> int:
     """Connected components of the 2*delta cone slice along the line,
     discretized at step delta/4 (components have length >= delta)."""
-    step = delta / 4.0
-    ts = np.arange(line.t0, line.t1 + step, step)
-    near = cone_distance(cone, line.point(ts)) < 2.0 * delta
-    return int(np.count_nonzero(np.diff(near.astype(int)) == 1) + int(near[0]))
+    return _slice_components(_distance_grid(cone, line, delta), delta)
 
 
 def line_cone_tube_volume(
@@ -462,29 +478,44 @@ def line_cone_tube_volume(
     delta-tube), plus the component count of the 2*delta slice along the
     line (discretized at step delta/4; true components have length >= delta).
 
+    Both read one distance grid: the cone distance at the nodes of step
+    s = delta/4 along the segment.  A tube sample p whose axial foot is
+    nearest node t_g lies within delta + s/2 of line(t_g), so, the distance
+    to the cone being 1-Lipschitz, p cannot hit (distance < delta) when the
+    node's distance is at least 2*delta + s/2.  The cone distance is
+    computed only for the other samples; the node threshold carries a fixed
+    slack `_NODE_SLACK` = 1e-4 against overestimated node distances.  Every
+    sample is still drawn, so `hits` equals the count over all samples;
+    `evaluated` says how many were computed.
+
     Tangent angles are read from `cuts.angles` (the cuts and angles of
     `make_transversal_lines`) at the cuts at least 10*delta from the apex;
     a transversality parameter `a` below any of them flags the report
     instead of failing it.
     """
-    pts = _tube_samples(line, delta, samples, rng)
+    pts, tt = _tube_samples(line, delta, samples, rng)
+    node_dist = _distance_grid(cone, line, delta)
+    step = delta / 4.0
+    nearest = np.minimum(np.rint((tt - line.t0) / step).astype(int), node_dist.size - 1)
+    live = np.flatnonzero(node_dist[nearest] < 2.0 * delta + 0.5 * step + _NODE_SLACK)
     hits = 0
     chunk = 262_144
-    for i in range(0, pts.shape[0], chunk):
-        dist = cone_distance(cone, pts[i : i + chunk])
+    for i in range(0, live.size, chunk):
+        dist = cone_distance(cone, pts[live[i : i + chunk]])
         hits += int(np.count_nonzero(dist < delta))
     frac = hits / max(pts.shape[0], 1)
     vol_tube = _tube_volume_exact(line, delta)
     volume = frac * vol_tube
     stderr = vol_tube * math.sqrt(max(frac * (1.0 - frac), 0.0) / max(pts.shape[0], 1))
-    components = tube_components(cone, line, delta)
+    components = _slice_components(node_dist, delta)
 
     min_angle = math.pi / 2.0
     for q, angle in zip(cuts, cuts.angles, strict=True):
         if float(np.linalg.norm(q - cone.apex)) >= 10.0 * delta:
             min_angle = min(min_angle, angle)
     flag = a is not None and min_angle < a
-    return TubeReport(volume, stderr, hits, int(pts.shape[0]), components, min_angle, flag)
+    return TubeReport(volume, stderr, hits, int(pts.shape[0]), components, min_angle, flag,
+                      int(live.size))
 
 
 def make_transversal_lines(
@@ -525,121 +556,3 @@ def make_transversal_lines(
     if len(out) < count:
         raise RuntimeError(f"only found {len(out)} of {count} transversal lines")
     return out
-
-
-# ---------------------------------------------------------------------------
-# rotated-graph representation
-
-
-@dataclass
-class GradientReport:
-    max_gradient: float
-    bound: float
-    passed: bool
-    required_depth: int
-    min_height_component: float
-
-
-def graph_gradient_bound(
-    cone: Cone,
-    piece,  # a (sub)chart covering the piece of the cross-section
-    a: float,
-    grid: int = 33,
-) -> GradientReport:
-    """Max gradient of the cone surface written as a graph over the
-    hyperplane orthogonal to the rotated center normal.
-
-    Rotates the center generatrix to the first axis and its normal to the
-    last; the surface normal along a generatrix is the chart normal at its
-    base, so the graph gradient at (x, r) is the tilted part of nu(x) over
-    its height component.  The gradient vanishes on the center generatrix.
-    """
-    d = piece.dim
-    from .manifold import frame_at
-
-    # the frame rows (point, tangents, normal) are orthonormal because the
-    # cross-section lies on the unit sphere
-    fr = frame_at(piece, np.full(d, 0.5))
-    R = np.concatenate([fr.point[None, :], fr.e, fr.nu[None, :]], axis=0)
-    xs = _sample_grid(d, grid)
-    nu = piece.normal(xs)
-    rot = nu @ R.T
-    height = rot[:, -1]
-    if float(np.min(np.abs(height))) < 0.2:
-        raise ProjectionError(
-            "normal tilts too far from the center normal; piece too large "
-            "for a single graph representation"
-        )
-    grad = np.linalg.norm(rot[:, :-1], axis=1) / np.abs(height)
-    gmax = float(grad.max())
-    bound = a / 10.0
-    passed = gmax <= bound
-    depth = 0 if passed else max(1, math.ceil(math.log2(gmax / bound)))
-    return GradientReport(gmax, bound, passed, depth, float(np.min(np.abs(height))))
-
-
-# ---------------------------------------------------------------------------
-# tangency locus of a direction
-
-
-@dataclass
-class TangencyProfile:
-    params: list[np.ndarray]
-    counts: dict[int, int] = field(default_factory=dict)
-    slope: float | None = None
-
-    @property
-    def empty(self) -> bool:
-        return not self.params and all(c == 0 for c in self.counts.values())
-
-
-def tangency_locus(cone: Cone, y: np.ndarray, grid: int = 512) -> TangencyProfile:
-    """Zero set of nu(x) . y on the parameter cube.
-
-    For one-parameter charts the isolated roots are returned (sign brackets
-    refined by `_refine_brackets`).  For higher-dimensional charts the locus
-    is a hypersurface-or-smaller; the profile records sign-change cell counts
-    per dyadic scale, whose slope estimates its box dimension.
-    """
-    y = np.asarray(y, dtype=float)
-    y = y / np.linalg.norm(y)
-    chart = cone.chart
-    d = chart.dim
-    if d == 1:
-        ts = np.linspace(0.0, 1.0, grid + 1)
-        vals = chart.normal(ts[:, None]) @ y
-        flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-        found = _refine_brackets(lambda t: chart.normal(t[:, None]) @ y,
-                                 ts[flips], ts[flips + 1], vals[flips], vals[flips + 1],
-                                 steps=60)
-        roots = [np.array([t]) for t in found]
-        for i in np.flatnonzero(np.abs(vals) < 1e-15):
-            roots.append(np.array([float(ts[i])]))
-        return TangencyProfile(params=roots)
-    k_max = int(math.log2(grid))
-    fine = 1 << k_max
-    xs = _sample_grid(d, fine + 1)
-    vals = np.einsum("...n,n->...", chart.normal(xs), y).reshape(*[fine + 1] * d)
-    signs = np.sign(vals)
-    counts: dict[int, int] = {}
-    for k in range(2, k_max + 1):
-        step = fine >> k
-        sub = signs[::step, ::step] if d == 2 else signs[(slice(None, None, step),) * d]
-        cell_min = sub
-        cell_max = sub
-        for ax in range(d):
-            lo = np.minimum(np.take(cell_min, range(0, sub.shape[ax] - 1), axis=ax),
-                            np.take(cell_min, range(1, sub.shape[ax]), axis=ax))
-            hi = np.maximum(np.take(cell_max, range(0, sub.shape[ax] - 1), axis=ax),
-                            np.take(cell_max, range(1, sub.shape[ax]), axis=ax))
-            cell_min, cell_max = lo, hi
-        counts[k] = int(np.count_nonzero((cell_min <= 0) & (cell_max >= 0)))
-    ks = [k for k, c in counts.items() if c > 0]
-    slope = None
-    if len(ks) >= 2:
-        from .util import fit_line
-
-        fit = fit_line(np.array(ks, dtype=float),
-                       np.log2([counts[k] for k in ks]))
-        slope = fit.slope
-    return TangencyProfile(params=[], counts=counts, slope=slope)

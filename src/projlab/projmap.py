@@ -500,6 +500,13 @@ class CinematicReport:
     grid_per_axis: int
 
 
+# Rows of W per `_certificates` call in `survey_family`.  The objective holds
+# (rows x grid x xi x components) floats, about 2.5 MiB per row for a cap at
+# n = 4 on the default grid; every certificate is per row, so blocking
+# changes no number.
+_CERT_BLOCK = 16
+
+
 def survey_family(
     chart: ManifoldChart,
     zs: np.ndarray,
@@ -521,7 +528,9 @@ def survey_family(
     idx = idx[idx[:, 0] != idx[:, 1]]
     W = zs[idx[:, 0]] - zs[idx[:, 1]]
     sep = np.linalg.norm(W, axis=-1)
-    cert = _certificates(ff, W, xi_count)
+    blocks = [_certificates(ff, W[i : i + _CERT_BLOCK], xi_count)
+              for i in range(0, W.shape[0], _CERT_BLOCK)]
+    cert = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
     bil = cert["c1"] / sep
     # doubling constant: largest (r/2)-packing of a C^1 ball of radius r,
     # measured in the displacement surrogate metric

@@ -11,18 +11,16 @@ from projlab.cone import (
     Cuts,
     GeneratrixError,
     LineSegment,
-    ProjectionError,
-    graph_gradient_bound,
+    cone_distance,
     line_cone_points,
     line_cone_tube_volume,
     make_transversal_lines,
     nearest_direction,
-    tangency_locus,
     tangent_plane_angle,
     tube_components,
 )
-from projlab.cone import _polish_root, _radial_defect
-from projlab.manifold import frame_matrices, make_cap_chart, subdivide
+from projlab.cone import _polish_root, _radial_defect, _tube_samples, _tube_volume_exact
+from projlab.manifold import frame_matrices, make_cap_chart, make_perturbed_cap_chart
 from projlab.util import rng_stream, unit_ball_volume
 
 
@@ -322,6 +320,8 @@ def test_generatrix_tube_fills_and_scales_quadratically(cone3, cap3):
     for j in (5, 6, 7):
         # a generatrix has no isolated cuts
         rep = line_cone_tube_volume(cone3, line, Cuts(), 2.0**-j, 60_000, rng_stream(25, j))
+        # every node of a generatrix is on the cone, so no sample is ruled out
+        assert rep.evaluated == rep.samples
         tube = line.length * math.pi * (2.0**-j) ** 2 + unit_ball_volume(3) * (2.0**-j) ** 3
         assert rep.volume == pytest.approx(tube, rel=0.1)
         vols.append(rep.volume)
@@ -331,69 +331,43 @@ def test_generatrix_tube_fills_and_scales_quadratically(cone3, cap3):
     assert 1.7 <= slope <= 2.3
 
 
-# -- graph representation ---------------------------------------------------
+def _unpruned_tube(cone, line, delta, samples, rng):
+    """Reference: the cone distance of every tube sample, same draws."""
+    pts, _ = _tube_samples(line, delta, samples, rng)
+    hits = int(np.count_nonzero(cone_distance(cone, pts) < delta))
+    return hits, pts.shape[0], hits / pts.shape[0] * _tube_volume_exact(line, delta)
 
 
-def test_small_piece_gradient_bound(cone3, cap3):
-    pieces = subdivide(cap3, 0.02)
-    rep = graph_gradient_bound(cone3, pieces[len(pieces) // 2], 0.3)
-    assert rep.passed
-    assert rep.max_gradient <= 0.03
-    assert rep.required_depth == 0
+@pytest.mark.parametrize("chart, samples", [
+    (make_cap_chart(3, 0.6), 60_000),
+    (make_cap_chart(4, 0.6), 20_000),
+    # the perturbed chart's cone distances cost about 0.25 ms per row
+    (make_perturbed_cap_chart(3, 0.6, amplitude=0.01, frequency=2.0), 5_000),
+], ids=["cap3", "cap4", "perturbed3"])
+def test_pruned_tube_counts_every_hit(chart, samples):
+    cone = Cone(chart, np.zeros(chart.n))
+    line, cuts = make_transversal_lines(cone, 0.3, 1, rng_stream(27, chart.n))[0]
+    evaluated = drawn = 0
+    for j in (6, 9):
+        delta = 2.0**-j
+        rep = line_cone_tube_volume(cone, line, cuts, delta, samples, rng_stream(27, j))
+        hits, total, volume = _unpruned_tube(cone, line, delta, samples, rng_stream(27, j))
+        assert (rep.hits, rep.samples, rep.volume) == (hits, total, volume)
+        assert hits > 0
+        assert rep.components == tube_components(cone, line, delta)
+        evaluated += rep.evaluated
+        drawn += rep.samples
+    assert evaluated < 0.3 * drawn
 
 
-def test_gradient_vanishes_with_the_piece(cone3, cap3):
-    tiny = subdivide(cap3, 2e-4)
-    rep = graph_gradient_bound(cone3, tiny[len(tiny) // 2], 0.3)
-    assert rep.max_gradient <= 1e-3
-
-
-def test_large_piece_violates_bound_and_reports_depth(cone3, cap3):
-    rep = graph_gradient_bound(cone3, cap3, 0.3)
-    assert not rep.passed
-    assert rep.required_depth >= 1
-
-
-def test_too_tilted_piece_rejects_graph_form():
-    steep = make_cap_chart(3, 0.9)
-    with pytest.raises(ProjectionError):
-        graph_gradient_bound(Cone(steep, np.zeros(3)), steep, 0.3)
-
-
-# -- tangency locus ---------------------------------------------------------
-
-
-def test_axis_direction_has_empty_locus(cone3):
-    prof = tangency_locus(cone3, np.array([0.0, 0.0, 1.0]))
-    assert prof.empty
-
-
-def test_horizontal_direction_has_two_clean_roots(cone3, cap3):
-    prof = tangency_locus(cone3, np.array([1.0, 0.0, 0.0]))
-    assert len(prof.params) == 2
-    for root in prof.params:
-        defect = float(np.dot(cap3.normal(root[None, :])[0], [1.0, 0.0, 0.0]))
-        assert abs(defect) <= 1e-10
-
-
-def test_random_directions_give_at_most_two_roots(cone3):
-    r = rng_stream(26, 0)
-    for _ in range(50):
-        y = r.standard_normal(3)
-        y /= np.linalg.norm(y)
-        prof = tangency_locus(cone3, y)
-        assert len(prof.params) <= 2
-        # solvability boundary of the height equation for this cap
-        ratio = abs(y[2]) / math.hypot(y[0], y[1])
-        if abs(ratio - 0.75) > 0.01:
-            assert prof.empty == (ratio > 0.75)
-
-
-def test_higher_dimensional_locus_profile_slope():
-    chart = make_cap_chart(4, 0.6)
-    cone = Cone(chart, np.zeros(4))
-    y = rng_stream(26, 1).standard_normal(4)
-    y /= np.linalg.norm(y)
-    prof = tangency_locus(cone, y, grid=512)
-    assert prof.slope is not None
-    assert prof.slope <= 1.2
+@pytest.mark.parametrize("delta", [2.0**-6, 2.0**-9])
+def test_tube_pruning_keeps_the_lipschitz_margin(cone3, cap3, delta):
+    # a line parallel to a generatrix at distance 1.5*delta: every grid node
+    # is farther than delta from the cone, yet the tube meets its
+    # delta-neighborhood along the whole segment
+    x = np.array([[0.4]])
+    line = LineSegment(1.5 * delta * cap3.normal(x)[0], cap3.point(x)[0], 0.2, 0.9)
+    rep = line_cone_tube_volume(cone3, line, Cuts(), delta, 20_000, rng_stream(28, 1))
+    hits, total, _ = _unpruned_tube(cone3, line, delta, 20_000, rng_stream(28, 1))
+    assert (rep.hits, rep.samples) == (hits, total)
+    assert hits > 0.15 * total

@@ -1,7 +1,9 @@
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -197,6 +199,31 @@ def test_two_point_survey_is_the_pair_certificate(cap3, n):
     assert report.samples > 0
     assert report.min_ratio == cert.ratio
     assert report.diameter_c2 == cert.norm_c2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_blocked_survey_equals_one_block(cap3, monkeypatch, n):
+    chart = cap3 if n == 3 else make_cap_chart(4, 0.6)
+    zs = sample_ball(rng_stream(13, n), n, 40, 0.5)
+    blocked = survey_family(chart, zs, 40, rng_stream(13, 0))
+    monkeypatch.setattr(projmap, "_CERT_BLOCK", 10**9)
+    assert asdict(blocked) == asdict(survey_family(chart, zs, 40, rng_stream(13, 0)))
+
+
+def test_survey_memory_is_bounded_at_n4():
+    # about 2.5 MiB of certificate objective per pair: 200 pairs in one
+    # block would peak near 500 MiB
+    chart = make_cap_chart(4, 0.6)
+    projmap._field(chart, None)
+    zs = sample_ball(rng_stream(14, 4), 4, 200, 0.5)
+    tracemalloc.start()
+    try:
+        report = survey_family(chart, zs, 200, rng_stream(14, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.samples >= 190
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("n", [3, 4])
