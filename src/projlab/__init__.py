@@ -5,21 +5,13 @@ from .manifold import (  # noqa: F401
     CapChart,
     ChartConstants,
     ChartDomainError,
-    CurvatureData,
     DegenerateJacobianError,
     DualChart,
-    Frame,
     ManifoldChart,
     NonConvexityError,
     PerturbedCapChart,
-    SubChart,
-    curvature_at,
-    dual_chart,
-    frame_at,
     make_cap_chart,
     make_perturbed_cap_chart,
-    second_fundamental_bounds,
-    subdivide,
 )
 
 __version__ = "0.1.0"

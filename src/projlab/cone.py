@@ -161,20 +161,12 @@ class Cone:
         if self.apex.shape != (self.chart.n,):
             raise ValueError("apex dimension does not match the chart")
 
-    def generatrix(self, x, pad: float = 0.0) -> LineSegment:
-        direction = self.chart.point(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-        lo = 0.0 if self.one_sided else -1.0
-        return LineSegment(self.apex, direction, lo - pad, 1.0 + pad)
-
     def surface_points(self, x, r) -> np.ndarray:
         pts = self.chart.point(np.asarray(x, dtype=float))
         return self.apex + np.asarray(r, dtype=float)[..., None] * pts
 
     def distance(self, p) -> np.ndarray:
         return cone_distance(self, p)
-
-    def contains(self, p, tol: float = 1e-9) -> np.ndarray:
-        return cone_distance(self, p) <= tol
 
     def nearest(self, p):
         """(distance, params, radius) of the closest surface point per query."""

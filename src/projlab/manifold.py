@@ -31,21 +31,11 @@ __all__ = [
     "CapChart",
     "PerturbedCapChart",
     "DualChart",
-    "SubChart",
     "ChartConstants",
-    "Frame",
-    "CurvatureData",
     "make_cap_chart",
     "make_perturbed_cap_chart",
-    "dual_chart",
-    "frame_at",
     "frame_matrices",
-    "curvature_at",
     "principal_curvatures",
-    "second_fundamental_bounds",
-    "second_fundamental_quotients",
-    "subdivide",
-    "image_diameter",
 ]
 
 # Fourth-order central differences; the step is a compromise between
@@ -455,46 +445,6 @@ class DualChart(ManifoldChart):
         return {"kind": self.kind, "n": self.n, "base": self.base.describe()}
 
 
-class SubChart(ManifoldChart):
-    """Affine restriction of a chart to a parameter subcube, rescaled to [0,1]^d."""
-
-    def __init__(self, base: ManifoldChart, lo, hi):
-        self.base = base
-        self.n = base.n
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        if self.lo.shape != (base.dim,) or np.any(self.hi <= self.lo):
-            raise ChartDomainError("subchart corners must satisfy lo < hi componentwise")
-        self.width = self.hi - self.lo
-        self.kind = f"sub[{base.kind}]"
-
-    def _map(self, x):
-        return self.lo + np.asarray(x, dtype=float) * self.width
-
-    def point(self, x):
-        return self.base.point(self._map(x))
-
-    def jacobian(self, x):
-        return self.base.jacobian(self._map(x)) * self.width
-
-    def hessian(self, x):
-        return self.base.hessian(self._map(x)) * self.width[:, None] * self.width[None, :]
-
-    def normal(self, x):
-        return self.base.normal(self._map(x))
-
-    def normal_jacobian(self, x):
-        return self.base.normal_jacobian(self._map(x)) * self.width
-
-    def describe(self):
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "lo": self.lo.tolist(),
-            "hi": self.hi.tolist(),
-        }
-
-
 def make_cap_chart(n: int, c: float) -> CapChart:
     return CapChart(n, c)
 
@@ -503,47 +453,15 @@ def make_perturbed_cap_chart(n: int, c: float, amplitude: float, frequency: floa
     return PerturbedCapChart(n, c, amplitude, frequency)
 
 
-def dual_chart(chart: ManifoldChart) -> DualChart:
-    return DualChart(chart)
-
-
 # ---------------------------------------------------------------------------
 # frames and curvature
 
 
-@dataclass
-class Frame:
-    """Distorted projection frame at one parameter point.
-
-    e holds the Jacobian columns divided by the global scale m_sigma (not
-    unit vectors in general), nu the oriented unit normal, nu_star the
-    chart point itself in its role as normal of the dual manifold, and
-    conditioning the smallest singular value of [point, e..., nu].
-    """
-
-    x: np.ndarray
-    point: np.ndarray
-    e: np.ndarray  # (n-2, n)
-    nu: np.ndarray
-    nu_star: np.ndarray
-    conditioning: float
-
-
-@dataclass
-class CurvatureData:
-    principal_curvatures: np.ndarray  # ascending, shape (n-2,)
-    principal_directions: np.ndarray  # ambient unit vectors, rows
-    dual_curvatures: np.ndarray  # reciprocals, descending
-    kappa_min: float  # global over the chart
-    kappa_max: float
-    christoffel_bound: float
-
-
-def principal_curvatures(chart: ManifoldChart, x: np.ndarray, with_directions: bool = False):
+def principal_curvatures(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of the shape operator at x, batched.
 
     Solves the symmetric generalized problem II v = kappa (J^T J) v by
-    Cholesky whitening; directions are returned as ambient unit vectors.
+    Cholesky whitening.
     """
     J = chart.jacobian(x)
     H = chart.hessian(x)
@@ -554,30 +472,7 @@ def principal_curvatures(chart: ManifoldChart, x: np.ndarray, with_directions: b
     t = np.linalg.solve(L, ii)
     sym = np.linalg.solve(L, np.swapaxes(t, -1, -2))
     sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
-    if not with_directions:
-        return np.linalg.eigvalsh(sym)
-    w, v = np.linalg.eigh(sym)
-    coeff = np.linalg.solve(np.swapaxes(L, -1, -2), v)
-    xi = J @ coeff
-    xi = xi / np.linalg.norm(xi, axis=-2, keepdims=True)
-    return w, np.swapaxes(xi, -1, -2)
-
-
-def frame_at(chart: ManifoldChart, x: np.ndarray) -> Frame:
-    """Projection frame {e_1..e_(n-2), nu} at a single parameter point."""
-    x = np.asarray(x, dtype=float)
-    J = chart.jacobian(x)
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv[-1] < _DEGENERATE_TOL:
-        raise DegenerateJacobianError(
-            f"Jacobian is rank deficient at x={x} (sigma_min={sv[-1]:.3e})"
-        )
-    p = chart.point(x)
-    nu = chart.normal(x)
-    e = J.T / chart.m_sigma
-    stacked = np.concatenate([p[None, :], e, nu[None, :]], axis=0)
-    cond = float(np.linalg.svd(stacked, compute_uv=False)[-1])
-    return Frame(x=x, point=p, e=e, nu=nu, nu_star=p, conditioning=cond)
+    return np.linalg.eigvalsh(sym)
 
 
 def frame_matrices(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
@@ -590,44 +485,6 @@ def frame_matrices(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
     nu = chart.normal(x)
     e = np.swapaxes(J, -1, -2) / chart.m_sigma
     return np.concatenate([e, nu[..., None, :]], axis=-2)
-
-
-def curvature_at(chart: ManifoldChart, x: np.ndarray) -> CurvatureData:
-    kappa, xi = principal_curvatures(chart, np.asarray(x, dtype=float), with_directions=True)
-    if np.min(kappa) <= 0.0:
-        raise NonConvexityError(f"nonpositive principal curvature at x={x}")
-    consts = chart.constants
-    return CurvatureData(
-        principal_curvatures=kappa,
-        principal_directions=xi,
-        dual_curvatures=1.0 / kappa,
-        kappa_min=consts.kappa_min,
-        kappa_max=consts.kappa_max,
-        christoffel_bound=consts.christoffel_bound,
-    )
-
-
-def second_fundamental_quotients(chart: ManifoldChart, x: np.ndarray):
-    """Min and max of II(zeta,zeta)/|zeta|^2 over tangent directions, batched.
-
-    These are the extreme principal curvatures at each sampled point; the
-    quotient is over ambient tangent vectors zeta = J u.
-    """
-    kappa = principal_curvatures(chart, x)
-    return kappa[..., 0], kappa[..., -1]
-
-
-def second_fundamental_bounds(chart: ManifoldChart, samples: int = 4096, seed: int = 7):
-    """(max II-quotient on the chart, min II-quotient on its dual).
-
-    The first bounds curvature from above by kappa_max, the second from
-    below by 1/kappa_max; for a cap both are exactly attained.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.random((samples, chart.dim))
-    _, hi = second_fundamental_quotients(chart, x)
-    lo_dual, _ = second_fundamental_quotients(chart.dual(), x)
-    return float(np.max(hi)), float(np.min(lo_dual))
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +545,11 @@ def _estimate_constants(chart: ManifoldChart) -> ChartConstants:
         sv = np.linalg.svd(J, compute_uv=False)
         j_scale = max(j_scale, float(np.max(sv[:, 0])))
         j_floor = min(j_floor, float(np.min(sv[:, -1])))
+        # before principal_curvatures, whose Cholesky fails on a singular Gram
+        if j_floor < _DEGENERATE_TOL:
+            raise DegenerateJacobianError(
+                f"chart Jacobian degenerates on the sample set (min sv {j_floor:.3e})"
+            )
         kappa = principal_curvatures(chart, x)
         k_lo = min(k_lo, float(np.min(kappa)))
         k_hi = max(k_hi, float(np.max(kappa)))
@@ -701,10 +563,6 @@ def _estimate_constants(chart: ManifoldChart) -> ChartConstants:
         jth = np.einsum("...nk,...nij->...kij", J, H)
         gamma = np.linalg.solve(gram, jth.reshape(x.shape[0], d, d * d))
         gamma_max = max(gamma_max, float(np.max(np.abs(gamma))))
-    if j_floor < _DEGENERATE_TOL:
-        raise DegenerateJacobianError(
-            f"chart Jacobian degenerates on the sample set (min sv {j_floor:.3e})"
-        )
     if k_lo <= 0.0:
         raise NonConvexityError("chart has nonpositive principal curvature samples")
     # second pass for the frame conditioning (needs the final jacobian scale)
@@ -737,7 +595,7 @@ def _estimate_constants(chart: ManifoldChart) -> ChartConstants:
 
 
 # ---------------------------------------------------------------------------
-# diameters, injectivity, subdivision
+# parameter grids
 
 
 def _sample_grid(d: int, per_axis: int) -> np.ndarray:
@@ -745,56 +603,3 @@ def _sample_grid(d: int, per_axis: int) -> np.ndarray:
     first coordinate slowest."""
     axes = [np.linspace(0.0, 1.0, per_axis)] * d
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-
-
-def image_diameter(chart: ManifoldChart, per_axis: int | None = None) -> float:
-    """Upper estimate of the chart image diameter.
-
-    Max pairwise distance over a sample grid, inflated by the sampled
-    Jacobian norm times the mesh half-diagonal so the result is a certified
-    upper bound up to second-order terms.
-    """
-    d = chart.dim
-    if per_axis is None:
-        per_axis = {1: 33, 2: 17, 3: 9}.get(d, 9)
-    grid = _sample_grid(d, per_axis)
-    pts = chart.point(grid)
-    if pts.shape[0] > 600:
-        idx = np.linspace(0, pts.shape[0] - 1, 600).astype(int)
-        sub = pts[idx]
-    else:
-        sub = pts
-    diff = sub[:, None, :] - sub[None, :, :]
-    diam = float(np.max(np.linalg.norm(diff, axis=-1)))
-    J = chart.jacobian(grid)
-    jmax = float(np.max(np.linalg.svd(J, compute_uv=False)[:, 0]))
-    mesh = math.sqrt(d) / (per_axis - 1)
-    return diam + jmax * mesh
-
-
-def subdivide(chart: ManifoldChart, max_diameter: float) -> list[SubChart]:
-    """Split the parameter cube until each piece's image diameter fits.
-
-    Pieces are SubCharts over dyadic subcubes; the diameter estimate is the
-    inflated sample-grid bound from image_diameter.
-    """
-    if max_diameter <= 0.0:
-        raise ChartDomainError("max_diameter must be positive")
-    d = chart.dim
-    done: list[SubChart] = []
-    queue = [(np.zeros(d), np.ones(d))]
-    while queue:
-        lo, hi = queue.pop()
-        piece = SubChart(chart, lo, hi)
-        if image_diameter(piece) <= max_diameter:
-            done.append(piece)
-            continue
-        axis = int(np.argmax(hi - lo))
-        mid = 0.5 * (lo[axis] + hi[axis])
-        hi_l = np.array(hi, copy=True)
-        hi_l[axis] = mid
-        lo_r = np.array(lo, copy=True)
-        lo_r[axis] = mid
-        queue.append((lo, hi_l))
-        queue.append((lo_r, hi))
-    return done

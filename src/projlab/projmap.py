@@ -30,15 +30,11 @@ __all__ = [
     "C2Distance",
     "InfimumCertificate",
     "MCVolume",
-    "PieceDiameters",
     "CinematicReport",
-    "eval_map",
     "c2_distance",
     "cinematic_infimum",
-    "vertical_neighborhood_volume",
     "vertical_slab_volume",
     "pair_intersection_volume",
-    "projected_intersection_diameter",
     "survey_family",
 ]
 
@@ -63,10 +59,6 @@ class CinematicMap:
         return np.einsum("...ckj,k->...cj", dB, self.z)
 
 
-def eval_map(chart: ManifoldChart, z, x) -> np.ndarray:
-    return CinematicMap(chart, z).value(x)
-
-
 # ---------------------------------------------------------------------------
 # frame tensor fields
 
@@ -83,7 +75,7 @@ def _frame_derivative(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
 
 
 class FrameField:
-    """Frame tensors of a chart sampled on a regular parameter grid.
+    """The frame tensors of a chart, sampled on a regular parameter grid.
 
     B has shape (G, n-1, n); dB appends a derivative axis, d2B two.  Map
     values, gradients and Hessians are einsums of these against z.
@@ -304,33 +296,6 @@ def vertical_slab_volume(n: int, delta: float) -> float:
     return unit_ball_volume(n - 1) * delta ** (n - 1)
 
 
-def vertical_neighborhood_volume(
-    f: CinematicMap, delta: float, samples: int, rng: np.random.Generator
-) -> MCVolume:
-    """Monte Carlo volume of {(x, y): |y - f(x)| < delta} in R^(2n-3)."""
-    chart = f.chart
-    d, c = chart.dim, chart.n - 1
-    probe = _field(chart, None).values(f.z[None, :])[0]
-    lo = probe.min(axis=0) - 1.05 * delta
-    hi = probe.max(axis=0) + 1.05 * delta
-    box_vol = float(np.prod(hi - lo))
-    hits = 0
-    chunk = 262_144
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        x = rng.random((m, d))
-        y = lo + rng.random((m, c)) * (hi - lo)
-        fx = frame_matrices(chart, x) @ f.z
-        hits += int(np.count_nonzero(np.linalg.norm(y - fx, axis=-1) < delta))
-        done += m
-    rate = hits / samples
-    value = box_vol * rate
-    stderr = box_vol * math.sqrt(max(rate * (1.0 - rate), 1e-300) / samples)
-    return MCVolume(value=value, stderr=stderr, samples=samples, hits=hits,
-                    low_hits=hits < 100, extra={"box_volume": box_vol})
-
-
 def _lens_fraction(t, c: int) -> np.ndarray:
     """Share of a unit ball in R^c covered by a unit ball at distance t.
 
@@ -413,76 +378,6 @@ def pair_intersection_volume(
     return out
 
 
-@dataclass
-class PieceDiameters:
-    """Base-projection diameters of the slab intersection, per dyadic piece."""
-
-    pieces: list  # (lo, hi, diameter or None)
-    max_diameter: float | None  # None when the intersection is empty
-    bound: float  # 32 K^2 delta / d
-    vacuous: bool  # d <= 4 K delta: the bound carries no information
-    bound_ok: bool
-    d_c2: float
-    delta: float
-    k_used: float
-
-
-def projected_intersection_diameter(
-    f: CinematicMap,
-    g: CinematicMap,
-    delta: float,
-    cinematic_k: float,
-    per_axis: int | None = None,
-) -> PieceDiameters:
-    """Diameter of {x : |f(x) - g(x)| < 2 delta} on each dyadic parameter piece.
-
-    Pieces have diameter below 1/(4K^2).  On every piece the set is expected
-    inside a ball of radius 16 K^2 delta / d, d the C^2 distance; diameters
-    are reported against twice that radius.  When d <= 4 K delta the regime
-    is flagged vacuous and the bound not asserted.  Only pieces that meet
-    the sublevel set are listed; an empty list means empty intersection.
-    """
-    if f.chart is not g.chart:
-        raise ValueError("maps must share a chart")
-    d_dim = f.chart.dim
-    if per_axis is None:
-        per_axis = {1: 4097, 2: 129, 3: 17}[d_dim]
-    dist = c2_distance(f, g).value
-    side = 2.0 ** -math.ceil(math.log2(max(4.0 * cinematic_k**2 * math.sqrt(d_dim), 1.0)))
-    bound = 32.0 * cinematic_k**2 * delta / dist if dist > 0 else math.inf
-    vacuous = dist <= 4.0 * cinematic_k * delta
-    ff = _field(f.chart, per_axis)
-    vals = np.linalg.norm(ff.values((f.z - g.z)[None, :])[0], axis=-1)
-    pts = ff.x[vals < 2.0 * delta]
-    mesh_slack = ff.mesh * math.sqrt(d_dim)
-    pieces = []
-    max_diam = None
-    if pts.shape[0]:
-        cells = np.minimum(np.floor(pts / side).astype(np.int64), int(round(1.0 / side)) - 1)
-        order = np.lexsort(cells.T[::-1])
-        cells, pts = cells[order], pts[order]
-        boundaries = np.flatnonzero(np.any(np.diff(cells, axis=0) != 0, axis=1)) + 1
-        for group in np.split(np.arange(pts.shape[0]), boundaries):
-            sub = pts[group]
-            lo = cells[group[0]].astype(float) * side
-            diam = float(
-                np.max(np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1))
-            ) + mesh_slack
-            pieces.append((lo.tolist(), (lo + side).tolist(), diam))
-            max_diam = diam if max_diam is None else max(max_diam, diam)
-    bound_ok = vacuous or max_diam is None or max_diam <= bound
-    return PieceDiameters(
-        pieces=pieces,
-        max_diameter=max_diam,
-        bound=bound,
-        vacuous=vacuous,
-        bound_ok=bound_ok,
-        d_c2=dist,
-        delta=delta,
-        k_used=cinematic_k,
-    )
-
-
 # ---------------------------------------------------------------------------
 # family survey
 
@@ -526,6 +421,8 @@ def survey_family(
     ff = _field(chart, per_axis)
     idx = rng.integers(0, zs.shape[0], size=(pair_count, 2))
     idx = idx[idx[:, 0] != idx[:, 1]]
+    if not idx.shape[0]:
+        raise ValueError("survey_family: no sampled pair has two distinct indices into zs")
     W = zs[idx[:, 0]] - zs[idx[:, 1]]
     sep = np.linalg.norm(W, axis=-1)
     blocks = [_certificates(ff, W[i : i + _CERT_BLOCK], xi_count)

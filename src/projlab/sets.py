@@ -1,4 +1,4 @@
-"""Fractal test sets, dyadic covering counts, and spread-set extraction.
+"""Fractal test sets, dyadic covering counts, and canonical spread sets.
 
 Conventions: all scales are dyadic (delta = 2^-k), grids are anchored at
 the origin so negative coordinates are handled by floor, and box-counting
@@ -11,16 +11,16 @@ scales [k_min, k_max] the cell indices floor(p * 2^k_max) are computed once,
 shifted to start at zero, and their bits interleaved into one int64 key per
 point; one sort then serves every scale, since the cell at scale k is the
 key shifted right by d*(k_max - k) bits, and a linear pass over the sorted
-keys counts the distinct ones.  `covering_number`, `box_dimension`,
-`FractalSet.thin_to_scale` and the spread-set descent all use it.  When the
-shifted indices need more than 62 key bits in all, the cells come from exact
-row uniques (np.unique over axis 0) instead of from lossy packed keys.
+keys counts the distinct ones.  `covering_number` and `box_dimension` count
+this way, and `FractalSet.thin_to_scale` keeps the first point of each
+distinct key.  When the shifted indices need more than 62 key bits in all,
+the cells come from exact row uniques (np.unique over axis 0) instead of from
+lossy packed keys.
 """
 from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,21 +31,14 @@ from .util import fit_line
 __all__ = [
     "ScaleError",
     "OverlapError",
-    "InfeasibleExtractionError",
     "FractalSet",
-    "DeltaSSet",
     "BoxCountFit",
-    "FrostmanReport",
     "build_cantor_dust",
     "product_fractal",
     "covering_number",
     "box_dimension",
-    "extract_delta_s_set",
     "spread_delta_s_set",
     "separate_points",
-    "frostman_check",
-    "write_pts",
-    "read_pts",
 ]
 
 _MAX_SCALE_EXP = 50  # beyond this, floor(x * 2^k) is no longer exact in float64
@@ -58,10 +51,6 @@ class ScaleError(ValueError):
 
 
 class OverlapError(ValueError):
-    pass
-
-
-class InfeasibleExtractionError(ValueError):
     pass
 
 
@@ -132,40 +121,24 @@ def _morton_keys(pts: np.ndarray, k_min: int, k_max: int) -> np.ndarray | None:
     return key
 
 
-def _dyadic_cells(pts: np.ndarray, k_min: int, k_max: int, firsts: bool = False):
+def _dyadic_cells(pts: np.ndarray, k_min: int, k_max: int):
     """For k = k_min..k_max in turn, the number of occupied half-open dyadic
-    cells of side 2^-k or, with `firsts`, the ascending indices of the first
-    point in each (indexing the points with them keeps one point per cell in
-    order of first appearance).  One sort of the Z-order keys at k_max
-    serves every scale."""
+    cells of side 2^-k.  One sort of the Z-order keys at k_max serves every
+    scale."""
     ks = range(k_min, k_max + 1)
     key = _morton_keys(pts, k_min, k_max) if pts.shape[0] else None
     if key is None:
         idx = _cell_indices(pts, k_max)
         for k in ks:
-            first = np.unique(idx >> (k_max - k), axis=0, return_index=True)[1]
-            yield np.sort(first) if firsts else first.size
+            yield np.unique(idx >> (k_max - k), axis=0).shape[0]
         return
-    # counts need no order, and an in-place sort of 1M keys is about four
-    # times faster than an argsort
-    if firsts:
-        order = np.argsort(key)
-        key = key[order]
-    else:
-        key.sort()
+    key.sort()
     # sorted neighbours lie in different 2^-k cells exactly when their keys
     # differ at or above bit d*(k_max - k)
     split = key[1:] ^ key[:-1]
     d = pts.shape[1]
     for k in ks:
-        new = split >= 1 << (d * (k_max - k))
-        if not firsts:
-            yield 1 + int(np.count_nonzero(new))
-            continue
-        # a run of equal coarse keys spans several fine runs, so its first
-        # point is the least index in it, not the first in sorted order
-        starts = np.concatenate([[0], np.flatnonzero(new) + 1])
-        yield np.sort(np.minimum.reduceat(order, starts))
+        yield 1 + int(np.count_nonzero(split >= 1 << (d * (k_max - k))))
 
 
 def covering_number(points: np.ndarray, delta: float) -> int:
@@ -195,14 +168,15 @@ class FractalSet:
     level: int
     generator: dict = field(default_factory=dict)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.points.shape[0], 1.0 / self.points.shape[0])
-
     def thin_to_scale(self, delta: float) -> np.ndarray:
         """One representative point per delta-cell (a delta-net of the set)."""
         k = scale_exponent(delta)
-        return self.points[next(_dyadic_cells(self.points, k, k, firsts=True))]
+        pts = self.points
+        cells = _morton_keys(pts, k, k) if pts.shape[0] else None
+        if cells is None:
+            cells = _cell_indices(pts, k)
+        # unique's return_index gives each cell's first point
+        return pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]
 
 
 def _ball_transform(points: np.ndarray, n: int) -> np.ndarray:
@@ -433,118 +407,6 @@ def box_dimension(points: np.ndarray, k_min: int, k_max: int) -> BoxCountFit:
 # spread (delta, s) subsets
 
 
-@dataclass
-class DeltaSSet:
-    """delta-separated point set whose ball counts obey a power law.
-
-    For every center x and radius r >= delta the subset puts at most
-    witnessed_C * r^s * len(points) points into B(x, r); witnessed_C is
-    measured on dyadic probe radii after construction.
-    """
-
-    points: np.ndarray
-    delta: float
-    s: float
-    witnessed_C: float
-    source_count: int
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def _witness_ball_constant(points: np.ndarray, delta: float, s: float) -> float:
-    n_pts = points.shape[0]
-    if n_pts <= 1:
-        return 1.0
-    tree = cKDTree(points)
-    probes = points[:: max(1, n_pts // 128)]
-    k = scale_exponent(delta)
-    worst = 0.0
-    for i in range(0, k):
-        r = 2.0 ** -i
-        if r < delta:
-            break
-        counts = tree.query_ball_point(probes, r, return_length=True)
-        worst = max(worst, float(np.max(counts)) / (r ** s * n_pts))
-    return worst
-
-
-def _rows_as_void(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    return a.view([("", a.dtype)] * a.shape[1]).ravel()
-
-
-def extract_delta_s_set(
-    points: np.ndarray,
-    delta: float,
-    s: float,
-    budget_constant: float = 1.0,
-) -> DeltaSSet:
-    """Largest-practical subset that is delta-separated with r^s ball counts.
-
-    Descends the dyadic tree keeping at most ceil(budget_constant * 2^(j s))
-    occupied cells per depth j (per level-0 root), picks one source point in
-    each surviving delta-cell, then greedily enforces delta-separation.
-    Raises when the source cannot support the requested exponent at all
-    (its delta-covering is smaller than delta^-s / 4).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    k = scale_exponent(delta)
-    if s < 0.0:
-        raise ValueError("exponent s must be nonnegative")
-    cover = covering_number(pts, delta)
-    if cover < 2.0 ** (k * s) / 4.0:
-        raise InfeasibleExtractionError(
-            f"source covering {cover} cannot support a (2^-{k}, {s}) set"
-        )
-    budgets = [int(math.ceil(budget_constant * 2.0 ** (j * s))) for j in range(k + 1)]
-    kept_cells = _descend(pts, k, budgets)
-    reps = _cell_representatives(pts, kept_cells, k)
-    reps = _separate(reps, delta)
-    if reps.shape[0] < budgets[k] / 8.0:
-        raise InfeasibleExtractionError(
-            f"descent starved: kept {reps.shape[0]} of a {budgets[k]} target; "
-            "the source is too sparse at intermediate scales for this exponent"
-        )
-    return DeltaSSet(
-        points=reps,
-        delta=delta,
-        s=s,
-        witnessed_C=_witness_ball_constant(reps, delta, s),
-        source_count=pts.shape[0],
-    )
-
-
-def _descend(pts: np.ndarray, k: int, budgets: list[int]) -> np.ndarray:
-    """Keep at most budgets[j] occupied cells per depth j, chosen by even
-    striding through the cells in order of first appearance; a kept cell
-    always has an occupied child, so the chain never dies."""
-    firsts = _dyadic_cells(pts, 0, k, firsts=True)
-    kept = _cell_indices(pts[next(firsts)], 0)
-    for j, first in enumerate(firsts, start=1):
-        cells = _cell_indices(pts[first], j)
-        mask = np.isin(_rows_as_void(cells >> 1), _rows_as_void(kept))
-        cand = cells[mask]
-        b = budgets[j]
-        if cand.shape[0] > b:
-            sel = (np.arange(b, dtype=np.int64) * cand.shape[0]) // b
-            cand = cand[sel]
-        kept = cand
-    return kept
-
-
-def _cell_representatives(pts: np.ndarray, cells: np.ndarray, k: int) -> np.ndarray:
-    idx = _cell_indices(pts, k)
-    mask = np.isin(_rows_as_void(idx), _rows_as_void(cells))
-    chosen = pts[mask]
-    cidx = idx[mask]
-    order = np.lexsort(np.concatenate([chosen.T[::-1], cidx.T[::-1]], axis=0))
-    chosen, cidx = chosen[order], cidx[order]
-    first = np.ones(chosen.shape[0], dtype=bool)
-    first[1:] = np.any(np.diff(cidx, axis=0) != 0, axis=1)
-    return chosen[first]
-
-
 def separate_points(pts: np.ndarray, delta: float) -> np.ndarray:
     """Greedy thinning of a point set to pairwise distance >= delta."""
     return _separate(np.atleast_2d(np.asarray(pts, dtype=float)), delta)
@@ -566,11 +428,11 @@ def _separate(pts: np.ndarray, delta: float) -> np.ndarray:
 
 
 def spread_delta_s_set(d: int, delta: float, s: float, budget_constant: float = 1.0) -> np.ndarray:
-    """Canonical (delta, s) spread set in [0,1]^d without a source point set.
+    """Canonical (delta, s) spread set in [0,1]^d.
 
-    Equivalent to extracting from the full delta-grid: every dyadic cell is
-    occupied, so the tree descent just strides through complete index sets.
-    Returns delta-cell centers.
+    Descends the dyadic tree of the full delta-grid, keeping at most
+    ceil(budget_constant * 2^(j s)) cells at depth j by even striding through
+    the children of the cells kept one depth up.  Returns delta-cell centers.
     """
     k = scale_exponent(delta)
     kept = np.zeros((1, d), dtype=np.int64)
@@ -585,78 +447,3 @@ def spread_delta_s_set(d: int, delta: float, s: float, budget_constant: float = 
             cand = cand[sel]
         kept = cand
     return (kept + 0.5) * delta
-
-
-# ---------------------------------------------------------------------------
-# Frostman-type measure checks
-
-
-@dataclass
-class FrostmanReport:
-    exponent: float
-    max_ratio: float
-    p99_ratio: float
-    trials: int
-    r_min: float
-    r_max: float
-
-
-def frostman_check(
-    fractal: FractalSet,
-    exponent: float,
-    trials: int,
-    rng: np.random.Generator,
-    r_min: float | None = None,
-    r_max: float = 1.0,
-) -> FrostmanReport:
-    """Ratios mu(B(x, r)) / r^exponent for the natural measure, at random
-    centers on the set and log-uniform radii."""
-    pts = fractal.points
-    n_pts = pts.shape[0]
-    if r_min is None:
-        r_min = max(fractal.cell_side * 2.0, 1e-6)
-    tree = cKDTree(pts)
-    centers = pts[rng.integers(0, n_pts, size=trials)]
-    radii = np.exp(rng.uniform(math.log(r_min), math.log(r_max), size=trials))
-    counts = np.array(
-        [tree.query_ball_point(c, r, return_length=True) for c, r in zip(centers, radii)],
-        dtype=float,
-    )
-    ratios = (counts / n_pts) / radii ** exponent
-    return FrostmanReport(
-        exponent=exponent,
-        max_ratio=float(ratios.max()),
-        p99_ratio=float(np.quantile(ratios, 0.99)),
-        trials=trials,
-        r_min=float(r_min),
-        r_max=float(r_max),
-    )
-
-
-# ---------------------------------------------------------------------------
-# binary point-cloud interchange
-
-
-_PTS_MAGIC = b"PTS1"
-
-
-def write_pts(path, points: np.ndarray) -> None:
-    """Binary point cloud: magic 'PTS1', u32 dimension, u64 count, then
-    count*dimension little-endian float64 coordinates."""
-    pts = np.atleast_2d(np.asarray(points, dtype="<f8"))
-    with open(path, "wb") as fh:
-        fh.write(_PTS_MAGIC)
-        fh.write(struct.pack("<IQ", pts.shape[1], pts.shape[0]))
-        fh.write(np.ascontiguousarray(pts).tobytes())
-
-
-def read_pts(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _PTS_MAGIC:
-            raise ValueError(f"bad magic {magic!r}; not a PTS1 file")
-        dim, count = struct.unpack("<IQ", fh.read(12))
-        data = np.frombuffer(fh.read(8 * dim * count), dtype="<f8")
-        if data.size != dim * count:
-            raise ValueError("truncated PTS1 payload")
-        return data.reshape(count, dim).copy()

@@ -58,28 +58,26 @@ class LogLogFit:
     residuals: np.ndarray
 
 
-def fit_line(x, y, w=None) -> LogLogFit:
-    """Weighted least-squares line fit with R^2 and per-point residuals.
+def fit_line(x, y) -> LogLogFit:
+    """Least-squares line fit with R^2 and per-point residuals.
 
     A zero-variance response is treated as a perfect constant fit
     (slope 0, r2 1) instead of a degenerate division.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = np.ones_like(x) if w is None else np.asarray(w, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two points to fit a line")
-    sw = w.sum()
-    xm = (w * x).sum() / sw
-    ym = (w * y).sum() / sw
-    sxx = (w * (x - xm) ** 2).sum()
-    sxy = (w * (x - xm) * (y - ym)).sum()
+    xm = x.sum() / x.size
+    ym = y.sum() / x.size
+    sxx = ((x - xm) ** 2).sum()
+    sxy = ((x - xm) * (y - ym)).sum()
     if sxx == 0.0:
         raise ValueError("degenerate fit: all abscissae equal")
     slope = sxy / sxx
     intercept = ym - slope * xm
     resid = y - (slope * x + intercept)
-    sst = (w * (y - ym) ** 2).sum()
-    ssr = (w * resid ** 2).sum()
+    sst = ((y - ym) ** 2).sum()
+    ssr = (resid ** 2).sum()
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     return LogLogFit(float(slope), float(intercept), float(r2), resid)

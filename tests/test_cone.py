@@ -86,7 +86,6 @@ def test_membership_of_random_surface_points(cone3):
     rad = r.uniform(-1.0, 1.0, 10_000)
     pts = cone3.surface_points(x, rad)
     assert cone3.distance(pts).max() <= 1e-10
-    assert bool(cone3.contains(pts, tol=1e-10).all())
 
 
 def test_radial_projection_lands_on_cross_section(cone3, cap3):
@@ -185,9 +184,10 @@ def test_line_above_the_cone_misses(cone3):
     assert line_cone_points(cone3, seg) == []
 
 
-def test_generatrix_line_rejected(cone3):
+def test_generatrix_line_rejected(cone3, cap3):
+    line = LineSegment(np.zeros(3), cap3.point(np.array([[0.3]]))[0], -1.0, 1.0)
     with pytest.raises(GeneratrixError):
-        line_cone_points(cone3, cone3.generatrix(np.array([0.3])))
+        line_cone_points(cone3, line)
 
 
 def test_random_secants_cut_at_most_twice(cone3):
@@ -315,7 +315,7 @@ def test_transversal_tube_volume_scaling(cone3):
 
 
 def test_generatrix_tube_fills_and_scales_quadratically(cone3, cap3):
-    line = Cone(cap3, np.zeros(3), one_sided=True).generatrix(np.array([0.3]))
+    line = LineSegment(np.zeros(3), cap3.point(np.array([[0.3]]))[0], 0.0, 1.0)
     vols = []
     for j in (5, 6, 7):
         # a generatrix has no isolated cuts

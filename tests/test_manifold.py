@@ -4,18 +4,12 @@ import pytest
 from projlab.manifold import (
     CapChart,
     ChartDomainError,
+    DegenerateJacobianError,
     NonConvexityError,
-    curvature_at,
-    dual_chart,
-    frame_at,
     frame_matrices,
-    image_diameter,
     make_cap_chart,
     make_perturbed_cap_chart,
     principal_curvatures,
-    second_fundamental_bounds,
-    second_fundamental_quotients,
-    subdivide,
 )
 
 
@@ -82,10 +76,11 @@ def test_cap_curvature_value():
     # height 0.6 gives radius 0.8 and curvature 0.6/0.8 = 0.75 in every
     # principal direction, for any ambient dimension
     ch = make_cap_chart(3, 0.6)
-    data = curvature_at(ch, np.full(1, 0.5))
-    assert data.principal_curvatures.shape == (1,)
-    assert abs(data.principal_curvatures[0] - 0.75) <= 1e-9
-    assert abs(data.dual_curvatures[0] - 4.0 / 3.0) <= 1e-9
+    x = np.full((1, 1), 0.5)
+    kappa = principal_curvatures(ch, x)
+    assert kappa.shape == (1, 1)
+    assert abs(kappa[0, 0] - 0.75) <= 1e-9
+    assert abs(principal_curvatures(ch.dual(), x)[0, 0] - 4.0 / 3.0) <= 1e-9
 
     ch5 = make_cap_chart(5, 0.6)
     x = rng(5).random((100, 3))
@@ -136,7 +131,7 @@ def test_dual_image_height():
     # duality sends the height-c cross-section to the height sqrt(1-c^2) one
     for c in (0.3, 0.6, 0.9):
         ch = make_cap_chart(3, c)
-        du = dual_chart(ch)
+        du = ch.dual()
         x = rng(8).random((100, 1))
         h = du.point(x)[:, -1]
         assert np.abs(h - np.sqrt(1 - c * c)).max() <= 1e-10
@@ -144,18 +139,18 @@ def test_dual_image_height():
 
 def test_dual_involution():
     ch = make_cap_chart(3, 0.6)
-    dd = dual_chart(dual_chart(ch))
+    dd = ch.dual().dual()
     x = rng(9).random((100, 1))
     assert np.abs(dd.point(x)[:, -1] - 0.6).max() <= 1e-8
     # dual normal points back at the original surface point
-    du = dual_chart(ch)
+    du = ch.dual()
     assert np.abs(du.normal(x) - ch.point(x)).max() <= 1e-8
 
 
 def test_dual_curvature_product():
     for n in (3, 4, 5):
         ch = make_cap_chart(n, 0.6)
-        du = dual_chart(ch)
+        du = ch.dual()
         x = rng(10).random((200, ch.dim))
         prod = principal_curvatures(ch, x) * principal_curvatures(du, x)
         assert np.abs(prod - 1.0).max() <= 1e-6
@@ -165,7 +160,7 @@ def test_tangent_space_duality():
     # tangent planes of the chart and its dual agree at matching parameters
     for n in (3, 4, 5):
         ch = make_cap_chart(n, 0.6)
-        du = dual_chart(ch)
+        du = ch.dual()
         x = rng(11).random((100, ch.dim))
         d = ch.dim
         Q1 = np.linalg.qr(np.swapaxes(frame_matrices(ch, x)[:, :d, :], 1, 2))[0]
@@ -176,24 +171,27 @@ def test_tangent_space_duality():
 
 def test_frame_orthogonality_and_conditioning():
     ch = make_cap_chart(4, 0.6)
-    fr = frame_at(ch, np.array([0.3, 0.7]))
+    x = np.array([[0.3, 0.7]])
+    p = ch.point(x)[0]
+    B = frame_matrices(ch, x)[0]
+    e, nu = B[:-1], B[-1]
     # position, tangent rows, and normal are mutually orthogonal
-    assert np.abs(fr.e @ fr.point).max() <= 1e-9
-    assert abs(fr.nu @ fr.point) <= 1e-9
-    assert np.abs(fr.e @ fr.nu).max() <= 1e-9
-    assert abs(np.linalg.norm(fr.nu) - 1.0) <= 1e-9
-    rows = np.concatenate([fr.point[None, :], fr.e, fr.nu[None, :]], axis=0)
-    sv = np.linalg.svd(rows, compute_uv=False)
-    assert fr.conditioning == sv[-1]
+    assert np.abs(e @ p).max() <= 1e-9
+    assert abs(nu @ p) <= 1e-9
+    assert np.abs(e @ nu).max() <= 1e-9
+    assert abs(np.linalg.norm(nu) - 1.0) <= 1e-9
+    conditioning = np.linalg.svd(np.concatenate([p[None, :], B]), compute_uv=False)[-1]
     assert ch.constants.frame_conditioning > 0.1
-    assert fr.conditioning >= ch.constants.frame_conditioning * 0.99
+    assert conditioning >= ch.constants.frame_conditioning * 0.99
 
 
 def test_second_fundamental_bounds():
+    # the largest curvature of the chart and the smallest of its dual are
+    # kappa_max and 1/kappa_max; for a cap both are attained everywhere
     ch = make_cap_chart(3, 0.6)
-    hi, lo_dual = second_fundamental_bounds(ch, samples=2000)
-    assert abs(hi - 0.75) <= 1e-6
-    assert abs(lo_dual - 4.0 / 3.0) <= 1e-6
+    x = rng(7).random((2000, ch.dim))
+    assert abs(principal_curvatures(ch, x).max() - 0.75) <= 1e-6
+    assert abs(principal_curvatures(ch.dual(), x).min() - 4.0 / 3.0) <= 1e-6
 
 
 def test_second_fundamental_quadratic_scaling():
@@ -210,18 +208,16 @@ def test_second_fundamental_quadratic_scaling():
 def test_second_fundamental_quotients_match_curvature():
     ch = make_cap_chart(4, 0.6)
     x = np.array([[0.4, 0.6], [0.1, 0.9]])
-    lo, hi = second_fundamental_quotients(ch, x)
-    assert np.abs(lo - 0.75).max() <= 1e-7
-    assert np.abs(hi - 0.75).max() <= 1e-7
+    kappa = principal_curvatures(ch, x)
+    assert np.abs(kappa[:, 0] - 0.75).max() <= 1e-7
+    assert np.abs(kappa[:, -1] - 0.75).max() <= 1e-7
 
 
 def test_perturbed_bounds_near_cap():
-    base_hi, base_lo = second_fundamental_bounds(make_cap_chart(3, 0.6), samples=1500)
-    hi, lo = second_fundamental_bounds(
-        make_perturbed_cap_chart(3, 0.6, amplitude=0.01, frequency=2.0), samples=1500
-    )
-    assert abs(hi / base_hi - 1.0) <= 0.1
-    assert abs(lo / base_lo - 1.0) <= 0.1
+    base = make_cap_chart(3, 0.6).constants
+    bumped = make_perturbed_cap_chart(3, 0.6, amplitude=0.01, frequency=2.0).constants
+    assert abs(bumped.kappa_max / base.kappa_max - 1.0) <= 0.1
+    assert abs(bumped.kappa_min / base.kappa_min - 1.0) <= 0.1
 
 
 def test_sectional_curvature_hypothesis():
@@ -232,24 +228,13 @@ def test_sectional_curvature_hypothesis():
     assert ch3.constants.kappa_min > 0
 
 
-def test_subdivide_meets_diameter():
-    ch = make_cap_chart(3, 0.6)
-    pieces = subdivide(ch, np.pi / 100)
-    assert len(pieces) >= 2
-    for piece in pieces[:8]:
-        assert image_diameter(piece) <= np.pi / 100 * 1.05
-    # pieces tile the parameter interval
-    los = sorted(p.lo[0] for p in pieces)
-    assert los[0] == 0.0
-
-
 def test_degenerate_jacobian_detected():
     class Collapsed(CapChart):
         def jacobian(self, x):
             return np.zeros_like(super().jacobian(x))
 
     ch = Collapsed(3, 0.6)
-    from projlab.manifold import DegenerateJacobianError
-
     with pytest.raises(DegenerateJacobianError):
-        frame_at(ch, np.array([0.5]))
+        ch.constants
+    with pytest.raises(DegenerateJacobianError):
+        frame_matrices(ch, np.array([[0.5]]))

@@ -10,17 +10,14 @@ import pytest
 
 from projlab import projmap
 from projlab.experiments import _aligned_pair as _driver_pair
-from projlab.manifold import frame_at, frame_matrices, make_cap_chart, make_perturbed_cap_chart
+from projlab.manifold import frame_matrices, make_cap_chart, make_perturbed_cap_chart
 from projlab.projmap import (
     CinematicMap,
     _lens_fraction,
     c2_distance,
     cinematic_infimum,
-    eval_map,
     pair_intersection_volume,
-    projected_intersection_diameter,
     survey_family,
-    vertical_neighborhood_volume,
     vertical_slab_volume,
 )
 from projlab.util import rng_stream, sample_ball
@@ -36,16 +33,16 @@ def grid1(count=256):
 
 
 def test_zero_displacement_gives_zero_map(cap3):
-    f = eval_map(cap3, np.zeros(3), grid1())
+    f = CinematicMap(cap3, np.zeros(3))(grid1())
     assert np.abs(f).max() == 0.0
 
 
 def test_radial_displacement_vanishes_at_its_base_point(cap3):
     x0 = np.array([[0.375]])
     z = 0.3 * cap3.point(x0)[0]
-    assert np.linalg.norm(eval_map(cap3, z, x0)) < 1e-12
+    assert np.linalg.norm(CinematicMap(cap3, z)(x0)) < 1e-12
     # and generically does not vanish elsewhere
-    vals = np.linalg.norm(eval_map(cap3, z, grid1()), axis=-1)
+    vals = np.linalg.norm(CinematicMap(cap3, z)(grid1()), axis=-1)
     assert vals.max() > 1e-3
 
 
@@ -59,7 +56,7 @@ def test_matches_gram_schmidt_projection(cap3):
     u2 /= np.linalg.norm(u2, axis=-1, keepdims=True)
     u3 = np.cross(u1, u2)
     oracle = np.stack([u2 @ z, u3 @ z], axis=-1)
-    assert np.abs(eval_map(cap3, z, x) - oracle).max() <= 1e-10
+    assert np.abs(CinematicMap(cap3, z)(x) - oracle).max() <= 1e-10
 
 
 def test_map_is_linear_in_displacement(cap3):
@@ -67,8 +64,8 @@ def test_map_is_linear_in_displacement(cap3):
     x = r.random((100, 1))
     z, w = sample_ball(r, 3, 2, 0.5)
     a, b = 0.7, -1.3
-    lhs = eval_map(cap3, a * z + b * w, x)
-    rhs = a * eval_map(cap3, z, x) + b * eval_map(cap3, w, x)
+    lhs = CinematicMap(cap3, a * z + b * w)(x)
+    rhs = a * CinematicMap(cap3, z)(x) + b * CinematicMap(cap3, w)(x)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -154,8 +151,8 @@ def test_radial_difference_has_certified_gradient_floor(cap3):
 
 def test_tangent_difference_has_value_floor(cap3):
     x0 = np.array([0.375])
-    fr = frame_at(cap3, x0)
-    f = CinematicMap(cap3, 0.1 * fr.e[0])
+    e0 = frame_matrices(cap3, x0[None, :])[0, 0]
+    f = CinematicMap(cap3, 0.1 * e0)
     value = np.linalg.norm(f.value(x0[None, :]))
     assert value >= cap3.constants.coeff_margin * 0.1 * (1.0 - 1e-9)
 
@@ -234,47 +231,6 @@ def test_map_gradient_matches_the_frame_field(cap3, n):
     ref = ff.gradients(z)[0]
     got = CinematicMap(chart, z).gradient(ff.x)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_constant_map_tube_volume(cap3):
-    f = CinematicMap(cap3, np.zeros(3))
-    delta = 1.0 / 16.0
-    mv = vertical_neighborhood_volume(f, delta, 200_000, np.random.default_rng(11))
-    exact = math.pi * delta**2
-    assert abs(mv.value - exact) <= 0.02 * exact
-    assert mv.stderr < exact
-    assert not mv.low_hits
-
-
-def test_tube_volume_halving_ratio(cap3):
-    f = CinematicMap(cap3, np.array([0.2, 0.0, 0.0]))
-    v1 = vertical_neighborhood_volume(f, 2.0**-6, 400_000, np.random.default_rng(5))
-    v2 = vertical_neighborhood_volume(f, 2.0**-7, 400_000, np.random.default_rng(6))
-    ratio = v1.value / v2.value
-    assert 4.0 / 1.3 <= ratio <= 4.0 * 1.3
-
-
-def test_tube_volume_against_dyadic_cell_count(cap3):
-    from projlab.manifold import frame_matrices
-
-    z = np.array([0.2, 0.0, 0.0])
-    f = CinematicMap(cap3, z)
-    delta = 2.0**-8
-    mv = vertical_neighborhood_volume(f, delta, 2_000_000, np.random.default_rng(7))
-    kx, ky = 8, 13
-    xc = (np.arange(2**kx) + 0.5) / 2**kx
-    fx = frame_matrices(cap3, xc[:, None]) @ z
-    side = 2.0**-ky
-    total = 0
-    for v in fx:
-        i0 = np.floor((v - delta) / side).astype(int) - 1
-        i1 = np.floor((v + delta) / side).astype(int) + 2
-        gy = (np.arange(i0[0], i1[0]) + 0.5) * side
-        gz = (np.arange(i0[1], i1[1]) + 0.5) * side
-        yy, zz = np.meshgrid(gy, gz, indexing="ij")
-        total += int(np.count_nonzero((yy - v[0]) ** 2 + (zz - v[1]) ** 2 < delta**2))
-    cell_estimate = total * side**2 * 2.0**-kx
-    assert abs(mv.value - cell_estimate) <= 0.05 * cell_estimate
 
 
 def test_pair_volume_of_identical_maps_is_the_slab(cap3):
@@ -407,48 +363,6 @@ def test_pair_volume_warns_on_starved_estimate(cap3):
     assert mv.low_hits
 
 
-def test_projected_diameter_empty_intersection(cap3):
-    f = CinematicMap(cap3, np.array([0.3, 0.0, 0.0]))
-    g = CinematicMap(cap3, np.array([-0.3, 0.05, 0.0]))
-    cert = cinematic_infimum(f, g)
-    k_est = cert.norm_upper / cert.certified
-    pd = projected_intersection_diameter(f, g, 1e-5, k_est)
-    assert pd.pieces == []
-    assert pd.max_diameter is None
-    assert pd.bound_ok
-
-
-def test_projected_diameter_scales_with_delta_over_distance(cap3):
-    delta = 2.0**-12
-    _, gk = _aligned_pair(cap3, 0.25)
-    cert = cinematic_infimum(CinematicMap(cap3, np.zeros(3)), gk)
-    k_est = cert.norm_upper / cert.certified
-    scaled = []
-    for j in (2, 3, 4):
-        d = 2.0**-j
-        f, g = _aligned_pair(cap3, d)
-        pd = projected_intersection_diameter(f, g, delta, k_est)
-        assert not pd.vacuous
-        assert pd.bound_ok
-        assert pd.pieces
-        los = np.array([p[0] for p in pd.pieces])
-        his = np.array([p[1] for p in pd.pieces])
-        extent = float(his.max() - los.min())
-        scaled.append(extent * d / delta)
-    scaled = np.array(scaled)
-    assert scaled.max() / scaled.min() <= 4.0
-
-
-def test_projected_diameter_flags_vacuous_regime(cap3):
-    f, g = _aligned_pair(cap3, 0.25)
-    cert = cinematic_infimum(f, g)
-    k_est = cert.norm_upper / cert.certified
-    pd = projected_intersection_diameter(f, g, 2.0**-5, k_est)
-    assert pd.vacuous
-    assert pd.d_c2 <= 4.0 * k_est * 2.0**-5
-    assert pd.bound_ok
-
-
 def test_small_piece_dichotomy_and_growth_bound(cap3):
     # on pieces below the certified size, either the value or the directional
     # derivative stays above norm/(2K) on the whole piece
@@ -482,3 +396,9 @@ def test_small_piece_dichotomy_and_growth_bound(cap3):
         need = norm * gap / (4.0 * k_est)
         assert np.all(tot + 1e-12 >= need)
     assert triggered > 0
+
+
+def test_survey_rejects_zs_without_a_distinct_pair(cap3):
+    # one row of zs gives no pair of distinct indices to survey
+    with pytest.raises(ValueError, match="distinct"):
+        survey_family(cap3, np.zeros((1, 3)), 10, rng_stream(15, 0))

@@ -6,22 +6,17 @@ from scipy.spatial import cKDTree
 
 from projlab.sets import (
     FractalSet,
-    InfeasibleExtractionError,
     OverlapError,
     ScaleError,
     box_dimension,
     build_cantor_dust,
     covering_number,
-    extract_delta_s_set,
-    frostman_check,
     product_fractal,
-    read_pts,
     scale_exponent,
     separate_points,
     spread_delta_s_set,
-    write_pts,
 )
-from projlab.sets import _descend, _dyadic_cells, _morton_keys, _rows_as_void
+from projlab.sets import _dyadic_cells, _morton_keys
 from projlab.util import rng_stream
 
 MIDDLE_THIRD_DIM = math.log(2.0) / math.log(3.0)
@@ -94,7 +89,8 @@ def test_wide_range_counts_fall_back_to_exact_rows():
     assert _morton_keys(pts, 10, 10) is None
     exact = np.unique(np.floor(pts * 2.0**10), axis=0).shape[0]
     assert covering_number(pts, 2.0**-10) == exact
-    assert next(_dyadic_cells(pts, 10, 10, firsts=True)).size == exact
+    fr = FractalSet(n=3, points=pts, similarity_dim=0.0, cell_side=1.0, level=0)
+    assert fr.thin_to_scale(2.0**-10).shape[0] == exact
     with pytest.raises(ScaleError):
         covering_number(np.array([[np.nan, 0.0]]), 0.5)
 
@@ -118,14 +114,6 @@ def _reference_cell_keys(idx, k):
     return key
 
 
-def _reference_unique_rows(idx, k):
-    keys = _reference_cell_keys(idx, k)
-    if keys is not None:
-        _, first = np.unique(keys, return_index=True)
-        return idx[np.sort(first)]
-    return np.unique(idx, axis=0)
-
-
 def _reference_thin(points, k):
     idx = _reference_cell_indices(points, k)
     keys = _reference_cell_keys(idx, k)
@@ -134,20 +122,6 @@ def _reference_thin(points, k):
     else:
         _, first = np.unique(keys, return_index=True)
     return points[np.sort(first)]
-
-
-def _reference_descend(pts, k, budgets):
-    kept = _reference_unique_rows(_reference_cell_indices(pts, 0), 0)
-    for j in range(1, k + 1):
-        cells = _reference_unique_rows(_reference_cell_indices(pts, j), j)
-        mask = np.isin(_rows_as_void(cells >> 1), _rows_as_void(kept))
-        cand = cells[mask]
-        b = budgets[j]
-        if cand.shape[0] > b:
-            sel = (np.arange(b, dtype=np.int64) * cand.shape[0]) // b
-            cand = cand[sel]
-        kept = cand
-    return kept
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -165,9 +139,6 @@ def test_morton_engine_matches_row_unique(d):
             fr = FractalSet(n=d, points=pts, similarity_dim=0.0, cell_side=1.0, level=0)
             for k in (k_min, k_max):
                 assert np.array_equal(fr.thin_to_scale(2.0**-k), _reference_thin(pts, k))
-            budgets = [int(math.ceil(2.0 ** (j * 0.7))) for j in range(k_max + 1)]
-            assert np.array_equal(_descend(pts, k_max, budgets),
-                                  _reference_descend(pts, k_max, budgets))
     if d > 1:
         # past the 62-bit key budget the counts come from exact row uniques
         # (for d = 1 that takes indices beyond the exact float64 range)
@@ -208,7 +179,6 @@ def test_middle_third_dust_counts_and_dimension():
     assert fr.points.shape == (256, 3)
     assert fr.similarity_dim == pytest.approx(MIDDLE_THIRD_DIM, abs=1e-12)
     assert np.linalg.norm(fr.points, axis=1).max() <= 0.5
-    assert fr.weights.sum() == pytest.approx(1.0)
     nearest = cKDTree(fr.points).query(fr.points, k=2)[0][:, 1]
     assert nearest.min() >= fr.cell_side
 
@@ -318,46 +288,7 @@ def test_dimension_estimates_track_similarity_dimension():
         assert abs(fit.slope - fr.similarity_dim) <= 0.05
 
 
-# -- (delta, s) extraction --------------------------------------------------
-
-
-def full_grid(k):
-    g = (np.arange(2**k) + 0.5) / 2.0**k
-    return np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-
-
-def test_extraction_from_full_grid():
-    ds = extract_delta_s_set(full_grid(10), 2.0**-10, 0.5)
-    assert 2**4 <= len(ds) <= 2**5
-    assert ds.delta == 2.0**-10
-    nearest = cKDTree(ds.points).query(ds.points, k=2)[0][:, 1]
-    assert nearest.min() >= ds.delta * (1.0 - 1e-9)
-    assert np.isfinite(ds.witnessed_C) and ds.witnessed_C > 0.0
-
-
-def test_extraction_ball_counts_spot_checked():
-    ds = extract_delta_s_set(full_grid(10), 2.0**-10, 0.5)
-    tree = cKDTree(ds.points)
-    r = rng_stream(15, 0)
-    # witnessed constant comes from dyadic radii; allow the rounding factor
-    cap = ds.witnessed_C * 2.0**ds.s
-    for _ in range(1000):
-        x = r.random(2)
-        rad = 2.0 ** r.uniform(-10, 0)
-        count = tree.query_ball_point(x, rad, return_length=True)
-        assert count <= cap * rad**ds.s * len(ds) + 1e-9
-
-
-def test_extraction_at_full_exponent_keeps_the_grid():
-    pts = full_grid(6)
-    ds = extract_delta_s_set(pts, 2.0**-6, 2.0)
-    assert len(ds) == pts.shape[0]
-
-
-def test_extraction_infeasible_for_concentrated_source():
-    pts = np.full((50, 2), 0.3) + rng_stream(15, 1).random((50, 2)) * 1e-6
-    with pytest.raises(InfeasibleExtractionError):
-        extract_delta_s_set(pts, 2.0**-5, 0.5)
+# -- spread sets ------------------------------------------------------------
 
 
 def test_spread_set_matches_budget():
@@ -366,57 +297,3 @@ def test_spread_set_matches_budget():
     assert sp.min() >= 0.0 and sp.max() <= 1.0
     gaps = np.diff(np.sort(sp[:, 0]))
     assert gaps.min() >= 2.0**-10
-
-
-# -- natural-measure ball growth -------------------------------------------
-
-
-def test_frostman_ratios_below_dimension_are_bounded():
-    fr = build_cantor_dust(3, 2, 1.0 / 3.0, 12)
-    r1 = frostman_check(fr, 0.6, 2000, rng_stream(13, 1))
-    r2 = frostman_check(fr, 0.6, 4000, rng_stream(13, 2))
-    assert r1.max_ratio < 3.0
-    assert abs(r1.p99_ratio - r2.p99_ratio) <= 0.5 * r2.p99_ratio
-
-
-def test_frostman_zero_exponent_is_total_mass():
-    fr = build_cantor_dust(3, 2, 1.0 / 3.0, 12)
-    rep = frostman_check(fr, 0.0, 2000, rng_stream(13, 3))
-    assert rep.max_ratio <= 1.0 + 1e-12
-
-
-def test_frostman_ratio_blows_up_past_the_dimension():
-    fr = build_cantor_dust(3, 2, 1.0 / 3.0, 12)
-    low = frostman_check(fr, 0.6, 2000, rng_stream(13, 1))
-    high = frostman_check(fr, 0.75, 2000, rng_stream(13, 4))
-    assert high.max_ratio > 4.0
-    assert high.max_ratio > 3.0 * low.max_ratio
-
-
-# -- point-cloud interchange ------------------------------------------------
-
-
-def test_pts_roundtrip(tmp_path):
-    pts = rng_stream(17, 0).random((321, 3))
-    path = tmp_path / "cloud.pts"
-    write_pts(path, pts)
-    back = read_pts(path)
-    assert back.dtype == np.float64
-    assert np.array_equal(back, pts)
-
-
-def test_pts_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.pts"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        read_pts(path)
-
-
-def test_pts_rejects_truncation(tmp_path):
-    pts = np.ones((4, 3))
-    path = tmp_path / "short.pts"
-    write_pts(path, pts)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError):
-        read_pts(path)
