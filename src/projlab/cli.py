@@ -106,6 +106,9 @@ _SCHEMAS = {
     },
 }
 
+# keys an experiment has no default for, checked once experiments are chosen
+_REQUIRED = {"config-bound": ("s", "s_prime")}
+
 _RUN_KEYS = {"experiments", "seed", "out_dir"}
 _MANIFOLD_KEYS = {"kind", "n", "c", "amplitude", "frequency"}
 _FRACTAL_KEYS = {"m", "ratio", "level", "placement", "n", "axes", "rotate_to_x"}
@@ -337,6 +340,15 @@ def parse_config(path) -> ExperimentConfig:
     return ExperimentConfig(experiments, manifold, fractal, params, seed, out_dir)
 
 
+def _check_required(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError naming every required key a selected experiment lacks."""
+    missing = [f"{name}.{key}: required key missing"
+               for name in cfg.experiments for key in _REQUIRED.get(name, ())
+               if key not in cfg.params.get(name, {})]
+    if missing:
+        raise ConfigError(missing)
+
+
 def _build_fractal(cfg: ExperimentConfig, chart):
     if cfg.fractal is None:
         # documented default: dimension-0.8 two-branch dust on the first axis
@@ -418,13 +430,14 @@ def main(argv=None) -> int:
             cfg = parse_config(args.config)
         else:
             cfg = ExperimentConfig([], {"kind": "cap", "n": 3, "c": 0.6}, None)
+        chosen = args.experiment_flag or args.experiment
+        if chosen:
+            cfg.experiments = [chosen]
+        _check_required(cfg)
     except ConfigError as e:
         for msg in e.errors:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
-    chosen = args.experiment_flag or args.experiment
-    if chosen:
-        cfg.experiments = [chosen]
     if not cfg.experiments:
         print("no experiment selected: pass a subcommand or list some under "
               "[run] experiments", file=sys.stderr)

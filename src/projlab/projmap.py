@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import betainc
 
 from .manifold import ManifoldChart, _fd_hessian, _sample_grid, frame_matrices
 from .util import unit_ball_volume, unit_directions
@@ -303,6 +302,8 @@ def _lens_fraction(t, c: int) -> np.ndarray:
     Asian J. Math. Stat., 2011) gives I_(1-(t/2)^2)((c+1)/2, 1/2), which is
     0 from t = 2 on.
     """
+    from scipy.special import betainc
+
     s = np.minimum(np.asarray(t, dtype=float) / 2.0, 1.0)
     return betainc(0.5 * (c + 1), 0.5, 1.0 - s * s)
 
@@ -446,22 +447,46 @@ def survey_family(
     )
 
 
+# Rows of the pairwise distance matrix per block in `_doubling_estimate`:
+# 64 x 2,000 points at n = 3 is 3 MiB of differences.
+_DOUBLING_BLOCK = 64
+
+
 def _doubling_estimate(zs: np.ndarray, scale: float, rng: np.random.Generator,
                        trials: int = 24) -> float:
+    """Largest greedy (r/2)-packing of a ball B(z, r) over `trials` draws of
+    a center z from zs and of r from the positive pairwise distances.
+
+    Distances are computed _DOUBLING_BLOCK rows at a time, never as the full
+    matrix.  r is the k-th positive distance in row-major order for k
+    uniform, which is the draw rng.choice makes over their flat array; the
+    positive count per row maps k back to its row.
+    """
     n = zs.shape[0]
     if n < 8:
         return float("nan")
-    dist = np.linalg.norm(zs[:, None, :] - zs[None, :, :], axis=-1) * scale
-    finite = dist[dist > 0.0]
+
+    def rows(lo, hi):
+        return np.linalg.norm(zs[lo:hi, None, :] - zs[None, :, :], axis=-1) * scale
+
+    counts = np.concatenate([np.count_nonzero(rows(i, i + _DOUBLING_BLOCK) > 0.0, axis=1)
+                             for i in range(0, n, _DOUBLING_BLOCK)])
+    ends = np.cumsum(counts)
     best = 1
     for _ in range(trials):
         center = int(rng.integers(0, n))
-        r = float(rng.choice(finite))
-        members = np.flatnonzero(dist[center] <= r)
-        # greedy r/2 packing inside the ball
-        kept: list[int] = []
-        for m in members:
-            if all(dist[m, k] > r / 2.0 for k in kept):
-                kept.append(int(m))
-        best = max(best, len(kept))
+        k = int(rng.integers(0, ends[-1]))
+        row = int(np.searchsorted(ends, k, side="right"))
+        dist = rows(row, row + 1)[0]
+        r = float(dist[dist > 0.0][k - (ends[row] - counts[row])])
+        # greedy packing in index order: keep the first candidate, drop
+        # every later one within r/2 of it, repeat
+        candidates = np.flatnonzero(rows(center, center + 1)[0] <= r)
+        kept = 0
+        while candidates.size:
+            m, rest = candidates[0], candidates[1:]
+            near = np.linalg.norm(zs[m] - zs[rest], axis=-1) * scale <= r / 2.0
+            candidates = rest[~near]
+            kept += 1
+        best = max(best, kept)
     return float(best)

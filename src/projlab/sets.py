@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .util import fit_line
 
@@ -416,6 +415,8 @@ def _separate(pts: np.ndarray, delta: float) -> np.ndarray:
     """Greedy thinning to pairwise distance >= delta (closed comparison)."""
     if pts.shape[0] <= 1:
         return pts
+    from scipy.spatial import cKDTree
+
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     tree = cKDTree(pts)

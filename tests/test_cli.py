@@ -175,6 +175,16 @@ def test_failing_tolerance_gives_exit_one(tmp_path, capsys):
     assert rep["status"] == "complete"
 
 
+def test_config_bound_without_its_section_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["config-bound", "--seed", "2026", "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config-bound.s: required key missing" in err
+    assert "config-bound.s_prime: required key missing" in err
+    assert not out.exists()
+
+
 def test_runtime_error_gives_exit_two_and_aborted_report(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "[config-bound]\ns = 0.5\ns_prime = 0.5\nc_const = 0.25\n"
@@ -267,3 +277,11 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "projlab" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, projlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

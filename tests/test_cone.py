@@ -20,7 +20,12 @@ from projlab.cone import (
     tube_components,
 )
 from projlab.cone import _polish_root, _radial_defect, _tube_samples, _tube_volume_exact
-from projlab.manifold import frame_matrices, make_cap_chart, make_perturbed_cap_chart
+from projlab.manifold import (
+    ManifoldChart,
+    frame_matrices,
+    make_cap_chart,
+    make_perturbed_cap_chart,
+)
 from projlab.util import rng_stream, unit_ball_volume
 
 
@@ -103,13 +108,60 @@ def test_radial_projection_lands_on_cross_section(cone3, cap3):
 def test_direction_seeds_live_and_die_with_the_chart():
     chart = make_cap_chart(3, 0.6)
     grid, pts = chart.seed_grid(64)
-    x, cosine = nearest_direction(chart, pts[:3])
+    x, cosine, converged = nearest_direction(chart, pts[:3])
     assert chart.seed_grid(64)[0] is grid
-    assert np.allclose(x, grid[:3]) and np.allclose(cosine, 1.0)
+    assert np.allclose(x, grid[:3]) and np.allclose(cosine, 1.0) and converged.all()
     ref = weakref.ref(chart)
     del chart, grid, pts
     gc.collect()
     assert ref() is None
+
+
+def _unit_rows(count, n, seed):
+    d = np.random.default_rng(seed).standard_normal((count, n))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cap_closed_form_matches_long_newton(n):
+    chart = make_cap_chart(n, 0.6)
+    dirs = _unit_rows(12_000, n, 40 + n)
+    x, cosine, converged = nearest_direction(chart, dirs)
+    # the generic projected Newton, run far past convergence, as reference
+    x_ref, cos_ref, conv_ref = ManifoldChart.nearest_parameters(chart, dirs, 64, 200)
+    assert converged.all() and conv_ref.all()
+    assert np.abs(x - x_ref).max() <= 1e-12
+    assert (cos_ref - cosine).max() <= 1e-15
+
+
+def test_face_optima_converge_with_projected_newton():
+    chart = make_cap_chart(4, 0.6)
+    dirs = _unit_rows(40_000, 4, 9)
+    x, cosine, converged = nearest_direction(chart, dirs)
+    x_ref, cos_ref, _ = nearest_direction(chart, dirs, iters=200)
+    on_face = (np.minimum(x_ref, 1.0 - x_ref) < 1e-12).any(axis=1)
+    assert np.count_nonzero(on_face) > 5_000
+    assert converged.all()
+    assert np.abs(x - x_ref).max() <= 1e-9
+    assert (cos_ref - cosine).max() <= 1e-15
+    # first-order optimality on the face: a free coordinate has zero
+    # gradient, a coordinate at 0 or 1 a gradient pointing out of the cube
+    g = np.einsum("ink,in->ik", chart.jacobian(x[on_face]), dirs[on_face])
+    xf = x[on_face]
+    free = (xf > 0.0) & (xf < 1.0)
+    assert np.abs(g[free]).max() <= 1e-9
+    assert (g[xf == 0.0] <= 1e-9).all() and (g[xf == 1.0] >= -1e-9).all()
+
+
+def test_unconverged_rows_are_flagged():
+    chart = make_perturbed_cap_chart(3, 0.6, amplitude=0.01, frequency=2.0)
+    dirs = _unit_rows(400, 3, 5)
+    x1, _, conv1 = nearest_direction(chart, dirs, iters=1)
+    x24, _, conv24 = nearest_direction(chart, dirs)
+    assert conv24.all()
+    assert (~conv1).any()
+    # a row flagged converged after one step is already at the answer
+    assert np.abs(x1[conv1] - x24[conv1]).max(initial=0.0) <= 1e-9
 
 
 def test_one_sided_cone_excludes_negative_radii(cap3):

@@ -223,6 +223,43 @@ def test_survey_memory_is_bounded_at_n4():
     assert peak < 64 * 2**20
 
 
+def _doubling_full_matrix(zs, scale, rng, trials=24):
+    # the estimate on the full distance matrix: the reference for the
+    # row-blocked one
+    dist = np.linalg.norm(zs[:, None, :] - zs[None, :, :], axis=-1) * scale
+    finite = dist[dist > 0.0]
+    best = 1
+    for _ in range(trials):
+        center = int(rng.integers(0, zs.shape[0]))
+        r = float(rng.choice(finite))
+        kept: list[int] = []
+        for m in np.flatnonzero(dist[center] <= r):
+            if all(dist[m, k] > r / 2.0 for k in kept):
+                kept.append(int(m))
+        best = max(best, len(kept))
+    return float(best)
+
+
+def test_doubling_estimate_matches_the_full_matrix():
+    zs = sample_ball(rng_stream(15, 3), 3, 300, 0.5)
+    zs[:40] = zs[0]  # repeated points: zero distances off the diagonal
+    for seed in range(4):
+        got = projmap._doubling_estimate(zs, 1.7, rng_stream(15, seed))
+        assert got == _doubling_full_matrix(zs, 1.7, rng_stream(15, seed))
+
+
+def test_doubling_estimate_memory_is_bounded():
+    # the full 2,000-point difference array alone is 96 MB
+    zs = sample_ball(rng_stream(16, 3), 3, 2000, 0.5)
+    tracemalloc.start()
+    try:
+        projmap._doubling_estimate(zs, 1.0, rng_stream(16, 0), trials=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_map_gradient_matches_the_frame_field(cap3, n):
     chart = cap3 if n == 3 else make_cap_chart(4, 0.6)
