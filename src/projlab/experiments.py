@@ -62,6 +62,7 @@ class ExperimentReport:
     error: str | None = None
     schema_version: int = SCHEMA_VERSION
     wall_clock_seconds: float | None = None
+    counters: dict = field(default_factory=dict)  # work tallies, sidecar only
 
     def record(self, delta, quantity, value, stderr=0.0, samples=0):
         self.measurements.append(
@@ -77,6 +78,7 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         d = asdict(self)
         d.pop("wall_clock_seconds", None)
+        d.pop("counters", None)
         return d
 
     def to_json(self) -> str:
@@ -104,7 +106,8 @@ class ExperimentReport:
         csv_path = out / f"raw_{self.experiment}_{timestamp}.csv"
         report_path.write_text(self.to_json())
         csv_path.write_text(self.csv_text())
-        meta = {"wall_clock_seconds": self.wall_clock_seconds, "timestamp": timestamp}
+        meta = {"wall_clock_seconds": self.wall_clock_seconds, "timestamp": timestamp,
+                "counters": self.counters}
         meta_path = out / f"report_{self.experiment}_{timestamp}.meta.json"
         meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
         return {"report": str(report_path), "csv": str(csv_path), "meta": str(meta_path)}
@@ -399,6 +402,7 @@ def run_pair_volume_sweep(
     rows = []
     pair_id = 0
     aborted = 0
+    tally = {"samples": 0, "evaluated": 0, "hits": 0}
     for u in u_ladder:
         for j in range(pairs_per_u):
             f, g = _aligned_pair(chart, rng_stream(seed, 301, pair_id), u)
@@ -412,6 +416,9 @@ def run_pair_volume_sweep(
                     f, g, delta, samples, rng_stream(seed, 302, pair_id, round(-math.log2(delta)))
                 )
                 rep.record(delta, f"pair{pair_id:02d}_volume", vol.value, vol.stderr, vol.samples)
+                tally["samples"] += vol.samples
+                tally["evaluated"] += vol.extra["evaluated"]
+                tally["hits"] += vol.hits
                 if vol.hits < min_hits:
                     aborted += 1
                     rep.notes.append(
@@ -421,6 +428,7 @@ def run_pair_volume_sweep(
                 rows.append((dc2, delta, vol.value))
             rep.record(0.0, f"pair{pair_id:02d}_c2_distance", dc2)
             pair_id += 1
+    rep.counters = {f"pair_intersection_volume.{k}": v for k, v in tally.items()}
     rep.checks["aborted_measurements"] = aborted
     dvals = sorted({r[0] for r in rows})
     dels = sorted({r[1] for r in rows})

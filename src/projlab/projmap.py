@@ -299,13 +299,26 @@ def _lens_fraction(t, c: int) -> np.ndarray:
     """Share of a unit ball in R^c covered by a unit ball at distance t.
 
     The lens of two equal balls is two caps; the cap-volume identity (S. Li,
-    Asian J. Math. Stat., 2011) gives I_(1-(t/2)^2)((c+1)/2, 1/2), which is
-    0 from t = 2 on.
+    Asian J. Math. Stat., 2011) gives I_x((c+1)/2, 1/2) with s = t/2 and
+    x = 1 - s^2, which is 0 from t = 2 on.  I_x is built up in steps of 1 in
+    its first argument by I_x(a+1, 1/2) = I_x(a, 1/2) - x^a s / (a B(a, 1/2))
+    (DLMF 8.17(iv)) from I_x(1, 1/2) = 1 - s for odd c and I_x(1/2, 1/2) =
+    1 - (2/pi) arcsin s for even c.  Working in s avoids the cancellation
+    of forming 1 - x near t = 0.
     """
-    from scipy.special import betainc
-
     s = np.minimum(np.asarray(t, dtype=float) / 2.0, 1.0)
-    return betainc(0.5 * (c + 1), 0.5, 1.0 - s * s)
+    x = (1.0 - s) * (1.0 + s)
+    if c % 2:
+        a, beta, power, frac = 1.0, 2.0, x, 1.0 - s
+    else:
+        a, beta, power, frac = 0.5, math.pi, np.sqrt(x), 1.0 - (2.0 / math.pi) * np.arcsin(s)
+    while a < 0.5 * (c + 1):
+        frac = frac - power * s / (a * beta)
+        beta *= a / (a + 0.5)
+        power = power * x
+        a += 1.0
+    # rounding leaves about -2e-16 just inside s = 1 for even c
+    return np.where(s == 1.0, 0.0, np.maximum(frac, 0.0))
 
 
 def _live_cells(ff: FrameField, w: np.ndarray, reach: float) -> np.ndarray:
@@ -342,14 +355,17 @@ def pair_intersection_volume(
     """
     if f.chart is not g.chart:
         raise ValueError("pair_intersection_volume requires maps over the same chart")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"pair_intersection_volume needs a finite delta > 0, got {delta!r}")
+    if samples < 1:
+        raise ValueError(f"pair_intersection_volume needs samples >= 1, got {samples!r}")
     chart = f.chart
     d, c = chart.dim, chart.n - 1
     slab = vertical_slab_volume(chart.n, delta)
     w = g.z - f.z
     ff = _field(chart, None)
     live = _live_cells(ff, w, 2.0 * delta)
-    cells = ff.per_axis - 1
-    strides = cells ** np.arange(d - 1, -1, -1)  # flat cell index, first axis slowest
+    cells = (ff.per_axis - 1,) * d
     total = total_sq = 0.0
     hits = evaluated = 0
     chunk = 262_144
@@ -357,7 +373,10 @@ def pair_intersection_volume(
     while done < samples:
         m = min(chunk, samples - done)
         x = rng.random((m, d))
-        x = x[live[np.minimum((x * cells).astype(np.intp), cells - 1) @ strides]]
+        # row-major like `_live_cells`; "clip" keeps an x * cells that
+        # rounds up to the cell count in the last cell
+        cell = (x * cells).astype(np.intp)
+        x = x[live[np.ravel_multi_index(tuple(cell.T), cells, mode="clip")]]
         t = np.linalg.norm(frame_matrices(chart, x) @ w, axis=-1) / delta
         weight = _lens_fraction(t, c)
         hits += int(np.count_nonzero(t < 2.0))

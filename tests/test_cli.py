@@ -285,3 +285,13 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_pair_volume_run_loads_no_scipy(tmp_path):
+    cfg = write_config(tmp_path, "[pair-volume]\npairs_per_u = 1\nsamples = 20000\n")
+    code = ("import sys; from projlab.cli import main; "
+            f"rc = main(['pair-volume', '--config', {cfg!r}, '--out-dir', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"

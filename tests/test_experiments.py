@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from datetime import datetime
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from projlab import cone as cones
-from projlab import experiments
+from projlab import experiments, projmap
 from projlab.experiments import (
     Configuration,
     ConfigurationError,
@@ -151,6 +152,31 @@ def test_pair_volume_single_delta_has_no_delta_fit(cap3):
     # identical u means the distance regressor has almost no spread, so the
     # marginal fit cannot certify anything
     assert rep.verdict != "pass"
+
+
+def test_pair_volume_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypatch):
+    volume, vols = projmap.pair_intersection_volume, []
+
+    def recorded(*args):
+        vols.append(volume(*args))
+        return vols[-1]
+
+    monkeypatch.setattr(projmap, "pair_intersection_volume", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = run_pair_volume_sweep(cap3, 3, pairs_per_u=1, samples=20_000)
+    stamp = "20260101T000000Z"
+    rep.write(tmp_path / "with", timestamp=stamp)
+    dataclasses.replace(rep, counters={}).write(tmp_path / "without", timestamp=stamp)
+    for name in (f"report_pair-volume_{stamp}.json", f"raw_pair-volume_{stamp}.csv"):
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+    meta = json.loads((tmp_path / "with" / f"report_pair-volume_{stamp}.meta.json").read_text())
+    assert len(vols) == 20
+    assert meta["counters"] == {
+        "pair_intersection_volume.samples": sum(v.samples for v in vols),
+        "pair_intersection_volume.evaluated": sum(v.extra["evaluated"] for v in vols),
+        "pair_intersection_volume.hits": sum(v.hits for v in vols),
+    }
 
 
 def test_cone_incidence_notes_roots_that_fail_to_polish(cap3, monkeypatch):

@@ -324,6 +324,25 @@ def test_lens_fraction_matches_closed_forms():
         assert np.all(_lens_fraction([2.0, 2.5, 1e9], c) == 0.0)
 
 
+def test_lens_fraction_is_accurate_near_zero_and_matches_betainc():
+    from scipy.special import betainc
+
+    t = np.concatenate([np.geomspace(1e-8, 1e-2, 25), np.linspace(0.0, 2.0, 201)])
+    s = t / 2.0
+    assert np.array_equal(_lens_fraction(t, 1), 1.0 - t / 2.0)
+    disk = (2.0 / math.pi) * (np.arccos(s) - s * np.sqrt(1.0 - s * s))
+    ball = (2.0 + s) * (1.0 - s) ** 2 / 2.0
+    assert np.abs(_lens_fraction(t, 2) - disk).max() <= 1e-15
+    assert np.abs(_lens_fraction(t, 3) - ball).max() <= 1e-15
+    t = np.linspace(0.1, 2.0, 96)
+    for c in range(4, 8):
+        ref = betainc(0.5 * (c + 1), 0.5, 1.0 - (t / 2.0) ** 2)
+        assert np.abs(_lens_fraction(t, c) - ref).max() <= 1e-13
+    rim = 2.0 - np.geomspace(1e-16, 1e-2, 1000)
+    for c in range(1, 8):
+        assert _lens_fraction(rim, c).min() >= 0.0
+
+
 def _unpruned_volume(f, g, delta, samples, rng):
     """The conditional estimator with a frame for every draw of x."""
     chart = f.chart
@@ -389,6 +408,16 @@ def test_frame_field_lives_and_dies_with_the_chart():
     del chart, f, g, field
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("delta, samples", [
+    (0.0, 1000), (-2.0**-8, 1000), (math.nan, 1000), (math.inf, 1000), (2.0**-8, 0),
+])
+def test_pair_volume_rejects_bad_delta_and_samples(cap3, delta, samples):
+    f = CinematicMap(cap3, np.zeros(3))
+    g = CinematicMap(cap3, np.array([0.2, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        pair_intersection_volume(f, g, delta, samples, np.random.default_rng(0))
 
 
 def test_pair_volume_warns_on_starved_estimate(cap3):
