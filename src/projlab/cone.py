@@ -344,24 +344,6 @@ class TubeReport:
     evaluated: int  # samples whose cone distance was computed
 
 
-def _tube_samples(line: LineSegment, delta: float, count: int, rng: np.random.Generator):
-    """Uniform points of the segment's delta-tube and the clamped axial
-    parameter of each (the foot's t in [t0, t1])."""
-    n = line.base.shape[0]
-    ts = rng.uniform(line.t0 - delta, line.t1 + delta, size=count)
-    # orthonormal complement of the direction
-    basis = _complement_basis(line.direction)
-    radial = rng.standard_normal((count, n - 1))
-    radial /= np.maximum(np.linalg.norm(radial, axis=1, keepdims=True), 1e-300)
-    radius = delta * rng.uniform(0.0, 1.0, size=count) ** (1.0 / (n - 1))
-    pts = line.point(ts) + (radial * radius[:, None]) @ basis
-    # keep only points truly inside the segment tube (spherical end caps)
-    tt = np.clip(((pts - line.base) @ line.direction), line.t0, line.t1)
-    foot = line.base + tt[:, None] * line.direction
-    inside = np.linalg.norm(pts - foot, axis=1) < delta
-    return pts[inside], tt[inside]
-
-
 def _complement_basis(u: np.ndarray) -> np.ndarray:
     n = u.shape[0]
     M = np.concatenate([u[None, :], np.eye(n)], axis=0)
@@ -405,9 +387,17 @@ def _slice_components(node_dist: np.ndarray, delta: float) -> int:
     return int(np.count_nonzero(np.diff(near.astype(int)) == 1) + int(near[0]))
 
 
+def _check_tube_args(delta: float, samples: int = 1) -> None:
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
+
+
 def tube_components(cone: Cone, line: LineSegment, delta: float) -> int:
     """Connected components of the 2*delta cone slice along the line,
     discretized at step delta/4 (components have length >= delta)."""
+    _check_tube_args(delta)
     return _slice_components(_distance_grid(cone, line, delta), delta)
 
 
@@ -430,29 +420,53 @@ def line_cone_tube_volume(
     to the cone being 1-Lipschitz, p cannot hit (distance < delta) when the
     node's distance is at least 2*delta + s/2.  The cone distance is
     computed only for the other samples; the node threshold carries a fixed
-    slack `_NODE_SLACK` = 1e-4 against overestimated node distances.  Every
-    sample is still drawn, so `hits` equals the count over all samples;
-    `evaluated` says how many were computed.
+    slack `_NODE_SLACK` = 1e-4 against overestimated node distances.
+
+    A sample is drawn as an axial parameter ts in [t0 - delta, t1 + delta]
+    and a radial offset of length `radius` orthogonal to the direction, so
+    its foot is clip(ts, t0, t1) and its squared distance to the segment is
+    (ts - foot)**2 + radius**2.  The end-cap test and the nearest node are
+    read from the draws; the point itself is built only for the samples the
+    node bound cannot rule out.  Every sample is still drawn and tested, so
+    `samples` counts the draws inside the tube and `hits` equals the count
+    over all of them; `evaluated` says how many cone distances were
+    computed.  Raises ValueError unless delta is finite and positive and
+    samples >= 1.
 
     Tangent angles are read from `cuts.angles` (the cuts and angles of
     `make_transversal_lines`) at the cuts at least 10*delta from the apex;
     a transversality parameter `a` below any of them flags the report
     instead of failing it.
     """
-    pts, tt = _tube_samples(line, delta, samples, rng)
+    _check_tube_args(delta, samples)
+    n = line.base.shape[0]
+    ts = rng.uniform(line.t0 - delta, line.t1 + delta, size=samples)
+    radial = rng.standard_normal((samples, n - 1))
+    radius = delta * rng.uniform(0.0, 1.0, size=samples) ** (1.0 / (n - 1))
+    # the complement basis is orthonormal and orthogonal to the direction,
+    # so a draw's axial foot is its clamped ts; keep the draws inside the
+    # segment tube (spherical end caps)
+    tt = np.clip(ts, line.t0, line.t1)
+    inside = (ts - tt) ** 2 + radius**2 < delta**2
+    drawn = int(np.count_nonzero(inside))
     node_dist = _distance_grid(cone, line, delta)
     step = delta / 4.0
     nearest = np.minimum(np.rint((tt - line.t0) / step).astype(int), node_dist.size - 1)
-    live = np.flatnonzero(node_dist[nearest] < 2.0 * delta + 0.5 * step + _NODE_SLACK)
+    live = np.flatnonzero(
+        inside & (node_dist[nearest] < 2.0 * delta + 0.5 * step + _NODE_SLACK))
+    basis = _complement_basis(line.direction)
     hits = 0
     chunk = 262_144
     for i in range(0, live.size, chunk):
-        dist = cone_distance(cone, pts[live[i : i + chunk]])
-        hits += int(np.count_nonzero(dist < delta))
-    frac = hits / max(pts.shape[0], 1)
+        rows = live[i : i + chunk]
+        unit = radial[rows]
+        unit /= np.maximum(np.linalg.norm(unit, axis=1, keepdims=True), 1e-300)
+        pts = line.point(ts[rows]) + (unit * radius[rows, None]) @ basis
+        hits += int(np.count_nonzero(cone_distance(cone, pts) < delta))
+    frac = hits / max(drawn, 1)
     vol_tube = _tube_volume_exact(line, delta)
     volume = frac * vol_tube
-    stderr = vol_tube * math.sqrt(max(frac * (1.0 - frac), 0.0) / max(pts.shape[0], 1))
+    stderr = vol_tube * math.sqrt(max(frac * (1.0 - frac), 0.0) / max(drawn, 1))
     components = _slice_components(node_dist, delta)
 
     min_angle = math.pi / 2.0
@@ -460,8 +474,7 @@ def line_cone_tube_volume(
         if float(np.linalg.norm(q - cone.apex)) >= 10.0 * delta:
             min_angle = min(min_angle, angle)
     flag = a is not None and min_angle < a
-    return TubeReport(volume, stderr, hits, int(pts.shape[0]), components, min_angle, flag,
-                      int(live.size))
+    return TubeReport(volume, stderr, hits, drawn, components, min_angle, flag, int(live.size))
 
 
 def make_transversal_lines(

@@ -509,8 +509,11 @@ def run_cone_incidence(
     slopes = []
     ratios = []
     bad_fit = 0
+    tally = {"samples": 0, "evaluated": 0, "hits": 0}
+    dropped = 0
     for i, (line, cuts) in enumerate(lines):
         _note_dropped_roots(rep, f"line {i}", cuts)
+        dropped += cuts.dropped
         vols = []
         for delta in deltas:
             tr = cones.line_cone_tube_volume(
@@ -518,6 +521,9 @@ def run_cone_incidence(
                 rng_stream(seed, 402, i, round(-math.log2(delta))), a=a,
             )
             rep.record(delta, f"line{i:03d}_tube_volume", tr.volume, tr.stderr, tr.samples)
+            tally["samples"] += tr.samples
+            tally["evaluated"] += tr.evaluated
+            tally["hits"] += tr.hits
             vols.append(tr.volume)
             ratios.append(tr.volume / delta**n)
             if tr.angle_flag:
@@ -540,10 +546,13 @@ def run_cone_incidence(
     comp_violations = 0
     for j, (line, cuts) in enumerate(check):
         _note_dropped_roots(rep, f"check line {j}", cuts)
+        dropped += cuts.dropped
         if len(cuts) > 2:
             point_violations += 1
         if cones.tube_components(cone, line, component_delta) > 2:
             comp_violations += 1
+    rep.counters = {f"line_cone_tube_volume.{k}": v for k, v in tally.items()}
+    rep.counters["line_cone_points.dropped"] = dropped
     rep.checks["point_violations"] = point_violations
     rep.checks["component_violations"] = comp_violations
     rep.record(component_delta, "point_violations", point_violations, samples=check_lines)

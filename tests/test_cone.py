@@ -19,7 +19,7 @@ from projlab.cone import (
     tangent_plane_angle,
     tube_components,
 )
-from projlab.cone import _polish_root, _radial_defect, _tube_samples, _tube_volume_exact
+from projlab.cone import _complement_basis, _polish_root, _radial_defect, _tube_volume_exact
 from projlab.manifold import (
     ManifoldChart,
     frame_matrices,
@@ -383,8 +383,27 @@ def test_generatrix_tube_fills_and_scales_quadratically(cone3, cap3):
     assert 1.7 <= slope <= 2.3
 
 
+def _tube_samples(line: LineSegment, delta: float, count: int, rng: np.random.Generator):
+    """Uniform points of the segment's delta-tube and the clamped axial
+    parameter of each (the foot's t in [t0, t1])."""
+    n = line.base.shape[0]
+    ts = rng.uniform(line.t0 - delta, line.t1 + delta, size=count)
+    # orthonormal complement of the direction
+    basis = _complement_basis(line.direction)
+    radial = rng.standard_normal((count, n - 1))
+    radial /= np.maximum(np.linalg.norm(radial, axis=1, keepdims=True), 1e-300)
+    radius = delta * rng.uniform(0.0, 1.0, size=count) ** (1.0 / (n - 1))
+    pts = line.point(ts) + (radial * radius[:, None]) @ basis
+    # keep only points truly inside the segment tube (spherical end caps)
+    tt = np.clip(((pts - line.base) @ line.direction), line.t0, line.t1)
+    foot = line.base + tt[:, None] * line.direction
+    inside = np.linalg.norm(pts - foot, axis=1) < delta
+    return pts[inside], tt[inside]
+
+
 def _unpruned_tube(cone, line, delta, samples, rng):
-    """Reference: the cone distance of every tube sample, same draws."""
+    """Reference: the cone distance of every tube sample, same draws, with
+    the points built and the end caps tested in full geometry."""
     pts, _ = _tube_samples(line, delta, samples, rng)
     hits = int(np.count_nonzero(cone_distance(cone, pts) < delta))
     return hits, pts.shape[0], hits / pts.shape[0] * _tube_volume_exact(line, delta)
@@ -423,3 +442,31 @@ def test_tube_pruning_keeps_the_lipschitz_margin(cone3, cap3, delta):
     hits, total, _ = _unpruned_tube(cone3, line, delta, 20_000, rng_stream(28, 1))
     assert (rep.hits, rep.samples) == (hits, total)
     assert hits > 0.15 * total
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_end_cap_draws_match_full_geometry(n):
+    # a segment of length 2*delta through the cone: half the axial draws
+    # fall beyond an end, where the end-cap test decides what is inside
+    chart = make_cap_chart(n, 0.6)
+    cone = Cone(chart, np.zeros(n))
+    x = np.full((1, chart.dim), 0.5)
+    delta = 2.0**-6
+    line = LineSegment(0.5 * chart.point(x)[0], chart.normal(x)[0], -delta, delta)
+    for j in range(4):
+        rep = line_cone_tube_volume(cone, line, Cuts(), delta, 20_000, rng_stream(29, n, j))
+        hits, total, volume = _unpruned_tube(cone, line, delta, 20_000, rng_stream(29, n, j))
+        assert (rep.samples, rep.hits, rep.volume) == (total, hits, volume)
+        assert 0 < hits < total
+
+
+@pytest.mark.parametrize("delta, samples", [
+    (0.0, 1_000), (-2.0**-6, 1_000), (math.nan, 1_000), (math.inf, 1_000), (2.0**-6, 0),
+], ids=["zero", "negative", "nan", "inf", "no-samples"])
+def test_tube_rejects_bad_delta_and_samples(cone3, delta, samples):
+    line, cuts = make_transversal_lines(cone3, 0.3, 1, rng_stream(23, 1))[0]
+    with pytest.raises(ValueError):
+        line_cone_tube_volume(cone3, line, cuts, delta, samples, rng_stream(23, 2))
+    if samples:
+        with pytest.raises(ValueError):
+            tube_components(cone3, line, delta)

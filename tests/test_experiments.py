@@ -179,6 +179,46 @@ def test_pair_volume_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypatch
     }
 
 
+def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypatch):
+    tube, reports = cones.line_cone_tube_volume, []
+    transversal, cut_lists = cones.make_transversal_lines, []
+
+    def recorded_tube(*args, **kwargs):
+        reports.append(tube(*args, **kwargs))
+        return reports[-1]
+
+    def recorded_lines(*args):
+        found = transversal(*args)
+        cut_lists.extend(cuts for _, cuts in found)
+        return found
+
+    polish = cones._polish_root
+
+    # loses the far cut of every secant, so every line drops a root
+    def far_half_fails(cone, line, t):
+        return None if t > 0.5 * (line.t0 + line.t1) else polish(cone, line, t)
+
+    monkeypatch.setattr(cones, "line_cone_tube_volume", recorded_tube)
+    monkeypatch.setattr(cones, "make_transversal_lines", recorded_lines)
+    monkeypatch.setattr(cones, "_polish_root", far_half_fails)
+    rep = run_cone_incidence(cap3, 5, sweep_lines=2, check_lines=3,
+                             deltas=(2.0**-5, 2.0**-6), samples=4000)
+    stamp = "20260101T000000Z"
+    rep.write(tmp_path / "with", timestamp=stamp)
+    dataclasses.replace(rep, counters={}).write(tmp_path / "without", timestamp=stamp)
+    for name in (f"report_cone-incidence_{stamp}.json", f"raw_cone-incidence_{stamp}.csv"):
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+    meta = json.loads((tmp_path / "with" / f"report_cone-incidence_{stamp}.meta.json").read_text())
+    assert (len(reports), len(cut_lists)) == (4, 5)
+    assert all(cuts.dropped for cuts in cut_lists)
+    assert meta["counters"] == {
+        "line_cone_tube_volume.samples": sum(r.samples for r in reports),
+        "line_cone_tube_volume.evaluated": sum(r.evaluated for r in reports),
+        "line_cone_tube_volume.hits": sum(r.hits for r in reports),
+        "line_cone_points.dropped": sum(c.dropped for c in cut_lists),
+    }
+
+
 def test_cone_incidence_notes_roots_that_fail_to_polish(cap3, monkeypatch):
     polish = cones._polish_root
 
