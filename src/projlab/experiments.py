@@ -341,18 +341,24 @@ def run_cinematic_check(
     fine = projmap.survey_family(chart, zs, pairs, rng_stream(seed, 202), per_axis=doubled_grid)
     for tag, r in (("base", base), ("doubled", fine)):
         mesh = 1.0 / (r.grid_per_axis - 1)
-        rep.record(mesh, f"K_est_{tag}", r.K_est, samples=r.samples)
+        if r.uncertified:
+            rep.notes.append(f"{r.uncertified} of {r.samples} pairs uncertified on the "
+                             f"{r.grid_per_axis}-per-axis grid; K_est is not certified")
+        else:
+            rep.record(mesh, f"K_est_{tag}", r.K_est, samples=r.samples)
         rep.record(mesh, f"min_certified_ratio_{tag}", r.min_ratio, samples=r.samples)
         rep.record(mesh, f"bilipschitz_lo_{tag}", r.bilipschitz_lo, samples=r.samples)
         rep.record(mesh, f"bilipschitz_hi_{tag}", r.bilipschitz_hi, samples=r.samples)
         rep.record(mesh, f"doubling_{tag}", r.D_est, samples=r.samples)
-    drift = abs(fine.K_est / base.K_est - 1.0)
-    rep.checks["all_certified"] = bool(base.all_certified and fine.all_certified)
+    certified = base.all_certified and fine.all_certified
+    # an uncertified survey has no finite constant whose drift could be read
+    drift = abs(fine.K_est / base.K_est - 1.0) if certified else None
+    rep.checks["all_certified"] = certified
     rep.checks["hi_lo_ratio"] = base.bilipschitz_hi / base.bilipschitz_lo
     rep.checks["hi_lo_ok"] = bool(rep.checks["hi_lo_ratio"] < hi_lo_max)
     rep.checks["K_drift"] = drift
-    rep.checks["K_stable"] = bool(drift <= stability_tol)
-    rep.fits["K_est"] = fine.K_est
+    rep.checks["K_stable"] = certified and drift <= stability_tol
+    rep.fits["K_est"] = fine.K_est if certified else None
     rep.fits["doubling"] = fine.D_est
     ok = rep.checks["all_certified"] and rep.checks["hi_lo_ok"] and rep.checks["K_stable"]
     rep.verdict = "pass" if ok else "fail"
@@ -509,12 +515,14 @@ def run_cone_incidence(
     slopes = []
     ratios = []
     bad_fit = 0
+    empty_lines = 0
     tally = {"samples": 0, "evaluated": 0, "hits": 0}
     dropped = 0
     for i, (line, cuts) in enumerate(lines):
         _note_dropped_roots(rep, f"line {i}", cuts)
         dropped += cuts.dropped
         vols = []
+        empty = False
         for delta in deltas:
             tr = cones.line_cone_tube_volume(
                 cone, line, cuts, delta, samples,
@@ -525,19 +533,28 @@ def run_cone_incidence(
             tally["evaluated"] += tr.evaluated
             tally["hits"] += tr.hits
             vols.append(tr.volume)
-            ratios.append(tr.volume / delta**n)
+            if tr.hits == 0:
+                # log2 of a zero volume would turn the line's slope into NaN
+                rep.notes.append(f"line {i} delta {delta:g}: no sample hit the tube; "
+                                 "line kept out of the slope fit")
+                empty = True
             if tr.angle_flag:
                 rep.notes.append(f"line {i}: tangent angle {tr.min_tangent_angle:.3f} below a")
+        if empty:
+            empty_lines += 1
+            continue
+        ratios.extend(v / delta**n for v, delta in zip(vols, deltas))
         fit = _loglog_fit(deltas, vols)
         slopes.append(fit.slope)
         if fit.r2 < 0.9:
             bad_fit += 1
     slopes = np.array(slopes)
-    rep.fits["slope_min"] = float(slopes.min())
-    rep.fits["slope_max"] = float(slopes.max())
-    rep.fits["slope_median"] = float(np.median(slopes))
-    rep.fits["constant_lo"] = float(min(ratios))
-    rep.fits["constant_hi"] = float(max(ratios))
+    fitted = slopes.size > 0
+    rep.fits["slope_min"] = float(slopes.min()) if fitted else None
+    rep.fits["slope_max"] = float(slopes.max()) if fitted else None
+    rep.fits["slope_median"] = float(np.median(slopes)) if fitted else None
+    rep.fits["constant_lo"] = float(min(ratios)) if fitted else None
+    rep.fits["constant_hi"] = float(max(ratios)) if fitted else None
     rep.checks["low_r2_lines"] = bad_fit
     slope_ok = bool(np.all(np.abs(slopes - n) <= tol))
 
@@ -558,7 +575,8 @@ def run_cone_incidence(
     rep.record(component_delta, "point_violations", point_violations, samples=check_lines)
     rep.record(component_delta, "component_violations", comp_violations, samples=check_lines)
     ok = slope_ok and point_violations == 0 and comp_violations == 0 and bad_fit == 0
-    rep.verdict = "pass" if ok else "fail"
+    # a line left out of the slope fit was never tested
+    rep.verdict = "fail" if not ok else "insufficient" if empty_lines else "pass"
     return rep
 
 
@@ -606,10 +624,17 @@ def run_configuration_lower_bound(
     return rep
 
 
-def _image_dimension(chart, fractal, x, k_window):
+def _image_dimension(chart, fractal, x, k_window, tally: dict):
+    """Box dimension of the fractal's image under the frame at x, counted
+    by construction pieces; adds its work to `tally` (sidecar counters)."""
     B = frame_matrices(chart, np.atleast_2d(np.asarray(x, dtype=float)))[0]
     img = fractal.points @ B.T
-    return sets.box_dimension(img, k_window[0], k_window[1])
+    fit = sets.box_dimension(img, k_window[0], k_window[1], fractal.piece_stride(k_window[1]))
+    for name, value in (("images", 1), ("points", img.shape[0]),
+                        ("rows_keyed", fit.rows_keyed), ("pieces_expanded", fit.pieces_expanded)):
+        key = f"box_dimension.{name}"
+        tally[key] = tally.get(key, 0) + value
+    return fit
 
 
 @_timed
@@ -655,7 +680,7 @@ def run_projection_dimension_sweep(
     xs = rng.random((x_samples, chart.dim))
     estimates = []
     for i in range(x_samples):
-        fitres = _image_dimension(chart, fractal, xs[i], k_window)
+        fitres = _image_dimension(chart, fractal, xs[i], k_window, rep.counters)
         estimates.append(fitres.slope)
         rep.record(2.0 ** -k_window[1], f"x{i:03d}_image_dim", fitres.slope, samples=fractal.points.shape[0])
     est = np.array(estimates)
@@ -668,7 +693,8 @@ def run_projection_dimension_sweep(
         rep.fits[f"exceptional_fraction_s{t:g}"] = float(np.mean(est < t))
     ok = frac >= quantile
     if collapse_x is not None:
-        cfit = _image_dimension(chart, fractal, np.asarray(collapse_x, dtype=float), k_window)
+        cfit = _image_dimension(chart, fractal, np.asarray(collapse_x, dtype=float), k_window,
+                                rep.counters)
         rep.fits["collapse_dim"] = cfit.slope
         if collapse_max is not None:
             rep.checks["collapse_ok"] = bool(cfit.slope <= collapse_max)
@@ -720,7 +746,7 @@ def run_exceptional_set_survey(
     centers = np.stack([g.ravel() for g in mesh], axis=-1)
     dims = np.empty(centers.shape[0])
     for i in range(centers.shape[0]):
-        dims[i] = _image_dimension(chart, fractal, centers[i], k_window).slope
+        dims[i] = _image_dimension(chart, fractal, centers[i], k_window, rep.counters).slope
     ok = True
     for s in s_grid:
         marked = centers[dims < s]
@@ -843,7 +869,7 @@ def run_incidence_count(
     )
     collapse_x = np.atleast_1d(np.asarray(collapse_x, dtype=float))
     y = chart.point(collapse_x[None, :])[0]
-    wfit = _image_dimension(chart, fractal, collapse_x, k_window)
+    wfit = _image_dimension(chart, fractal, collapse_x, k_window, rep.counters)
     s_meas = wfit.slope
     rep.fits["projected_dim"] = float(s_meas)
     if s_meas > n - 2 + hypothesis_slack:

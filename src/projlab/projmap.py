@@ -404,7 +404,7 @@ def pair_intersection_volume(
 
 @dataclass
 class CinematicReport:
-    K_est: float  # certified cinematic constant: sup of norm/infimum ratios
+    K_est: float  # certified cinematic constant: sup of norm/infimum ratios; inf if uncertified
     D_est: float  # empirical doubling constant of the family
     bilipschitz_lo: float  # C^1 distance / displacement ratio bounds
     bilipschitz_hi: float
@@ -413,6 +413,7 @@ class CinematicReport:
     min_ratio: float  # smallest certified infimum ratio
     all_certified: bool
     grid_per_axis: int
+    uncertified: int  # pairs whose certified infimum is not positive
 
 
 # Rows of W per `_certificates` call in `survey_family`.  The objective holds
@@ -453,16 +454,18 @@ def survey_family(
     # measured in the displacement surrogate metric
     hi_scale = float(bil.max())
     D_est = _doubling_estimate(zs, hi_scale, rng)
+    uncertified = int(np.count_nonzero(cert["certified"] <= 0.0))
     return CinematicReport(
-        K_est=float(1.0 / max(cert["ratio"].min(), 1e-300)),
+        K_est=math.inf if uncertified else float(1.0 / max(cert["ratio"].min(), 1e-300)),
         D_est=D_est,
         bilipschitz_lo=float(bil.min()),
         bilipschitz_hi=float(bil.max()),
         samples=int(W.shape[0]),
         diameter_c2=float(cert["norm_c2"].max()),
         min_ratio=float(cert["ratio"].min()),
-        all_certified=bool(np.all(cert["certified"] > 0.0)),
+        all_certified=not uncertified,
         grid_per_axis=ff.per_axis,
+        uncertified=uncertified,
     )
 
 

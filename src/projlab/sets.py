@@ -16,6 +16,17 @@ this way, and `FractalSet.thin_to_scale` keeps the first point of each
 distinct key.  When the shifted indices need more than 62 key bits in all,
 the cells come from exact row uniques (np.unique over axis 0) instead of from
 lossy packed keys.
+
+A self-similar set is covered by the images of its construction pieces
+(Hutchinson, Indiana Univ. Math. J. 30, 1981), and so is any linear image
+of it.  `box_dimension` can take a piece stride: piece c is the rows
+points[c::stride].  A piece whose per-axis minimum and maximum fall in the
+same 2^-k_max cell lies in one cell at every k <= k_max (floor is monotone
+and scaling by 2^k is exact), so one of its rows stands for all of them;
+every row of the other pieces is keyed.  The occupied cells, and so the
+counts, are exactly those of all the rows, while only a few percent of a
+projected dust's rows are keyed.  `FractalSet.piece_stride` gives the
+stride of a `build_cantor_dust` set, whose coarsest digit varies fastest.
 """
 from __future__ import annotations
 
@@ -140,6 +151,22 @@ def _dyadic_cells(pts: np.ndarray, k_min: int, k_max: int):
         yield 1 + int(np.count_nonzero(split >= 1 << (d * (k_max - k))))
 
 
+def _piece_rows(pts: np.ndarray, stride: int, k_max: int) -> tuple[np.ndarray, int]:
+    """Rows that occupy exactly the 2^-k cells of pts at every k <= k_max,
+    and the number of pieces expanded.
+
+    Piece c is pts[c::stride].  A piece whose minimum and maximum share
+    their 2^-k_max cell on every axis is one row; the rows of every other
+    piece, including any with a NaN, are all kept.
+    """
+    d = pts.shape[1]
+    grid = pts.reshape(-1, stride, d)
+    scale = 2.0 ** k_max
+    one = np.all(np.floor(grid.min(axis=0) * scale) == np.floor(grid.max(axis=0) * scale), axis=1)
+    rest = grid[:, ~one].reshape(-1, d)
+    return np.concatenate([grid[0, one], rest]), stride - int(np.count_nonzero(one))
+
+
 def covering_number(points: np.ndarray, delta: float) -> int:
     """Number of occupied half-open dyadic cells of side delta."""
     k = scale_exponent(delta)
@@ -176,6 +203,25 @@ class FractalSet:
             cells = _cell_indices(pts, k)
         # unique's return_index gives each cell's first point
         return pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]
+
+    def piece_stride(self, k_max: int) -> int | None:
+        """Row stride m^L of the level-L construction pieces for counting
+        cells down to 2^-k_max, or None when the rows are not a
+        `build_cantor_dust` construction.
+
+        L is the smallest level whose pieces have diameter at most
+        2^-(k_max+6), so few of them straddle a cell face, capped below
+        `level` so a piece keeps more than one point.
+        """
+        m, r = self.generator.get("m"), self.generator.get("ratio")
+        if m is None or r is None or self.level < 2 or self.points.shape[0] != m ** self.level:
+            return None
+        # diameter of a level-0 piece: the whole construction cube
+        top = self.cell_side * math.sqrt(self.n) / r ** self.level
+        L = 1
+        while L < self.level - 1 and top * r ** L > 2.0 ** -(k_max + 6):
+            L += 1
+        return m ** L
 
 
 def _ball_transform(points: np.ndarray, n: int) -> np.ndarray:
@@ -347,13 +393,19 @@ class BoxCountFit:
     residuals: np.ndarray
     excluded: list[int]
     warning: str | None = None
+    rows_keyed: int = 0  # rows given a cell key
+    pieces_expanded: int = 0  # pieces keyed row by row
 
 
-def box_dimension(points: np.ndarray, k_min: int, k_max: int) -> BoxCountFit:
+def box_dimension(points: np.ndarray, k_min: int, k_max: int,
+                  stride: int | None = None) -> BoxCountFit:
     """Least-squares slope of log2 N(2^-k) against k over [k_min, k_max].
 
     Scales where the covering count saturates (approaches the raw point
-    count, or stops growing) are excluded from the fit and reported.
+    count, or stops growing) are excluded from the fit and reported.  With
+    a `stride` that divides the row count, cells are counted from the
+    pieces points[c::stride] (see the module docstring); the counts are
+    those of every row.
     """
     if k_max - k_min < 3:
         raise ScaleError("need at least four scales: k_max - k_min >= 3")
@@ -363,8 +415,12 @@ def box_dimension(points: np.ndarray, k_min: int, k_max: int) -> BoxCountFit:
     if pts.shape[0] == 0:
         raise ValueError("cannot fit a dimension to an empty set")
     ks = list(range(k_min, k_max + 1))
-    counts = list(_dyadic_cells(pts, k_min, k_max))
     n_pts = pts.shape[0]
+    rows, expanded = pts, 0
+    if stride is not None and n_pts % stride == 0:
+        rows, expanded = _piece_rows(pts, stride, k_max)
+    counts = list(_dyadic_cells(rows, k_min, k_max))
+    work = {"rows_keyed": rows.shape[0], "pieces_expanded": expanded}
     warning = None
     cut = len(ks)
     for i, c in enumerate(counts):
@@ -387,7 +443,7 @@ def box_dimension(points: np.ndarray, k_min: int, k_max: int) -> BoxCountFit:
         if len(set(counts)) == 1:
             # a single occupied cell at every scale: dimension zero exactly
             return BoxCountFit(0.0, math.log2(counts[0]), 1.0, ks, counts,
-                               np.zeros(len(ks)), [], None)
+                               np.zeros(len(ks)), [], None, **work)
         raise ScaleError("fewer than two usable scales after saturation exclusion")
     fit = fit_line(np.array(kept_ks, dtype=float), np.log2(kept_counts))
     return BoxCountFit(
@@ -399,6 +455,7 @@ def box_dimension(points: np.ndarray, k_min: int, k_max: int) -> BoxCountFit:
         residuals=fit.residuals,
         excluded=excluded,
         warning=warning,
+        **work,
     )
 
 
@@ -412,7 +469,9 @@ def separate_points(pts: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _separate(pts: np.ndarray, delta: float) -> np.ndarray:
-    """Greedy thinning to pairwise distance >= delta (closed comparison)."""
+    """Lexicographic greedy thinning to pairwise distance >= delta (closed
+    comparison): a point is kept unless an earlier kept point lies within
+    delta, so every input point lies within delta of a kept one."""
     if pts.shape[0] <= 1:
         return pts
     from scipy.spatial import cKDTree
@@ -422,9 +481,12 @@ def _separate(pts: np.ndarray, delta: float) -> np.ndarray:
     tree = cKDTree(pts)
     keep = np.ones(pts.shape[0], dtype=bool)
     pairs = tree.query_pairs(delta * (1.0 - 1e-12), output_type="ndarray")
-    for a, b in pairs:
-        if keep[a] and keep[b]:
-            keep[max(a, b)] = False
+    # query_pairs gives a < b in no set order; sorted by (a, b), keep[a] is
+    # final before a's own pairs are read
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    for a, b in pairs.tolist():
+        if keep[a]:
+            keep[b] = False
     return pts[keep]
 
 

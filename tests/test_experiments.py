@@ -130,6 +130,20 @@ def test_cinematic_check_small(cap3):
     assert "K_est_base" in tags and "K_est_doubled" in tags
 
 
+def test_cinematic_check_marks_an_uncertified_survey(cap3):
+    # a 5-per-axis grid is too coarse to certify most pairs
+    rep = run_cinematic_check(cap3, 5, pairs=20, radius=0.5, grid=5)
+    assert rep.verdict == "fail"
+    assert rep.checks["all_certified"] is False
+    assert rep.fits["K_est"] is None
+    assert rep.checks["K_drift"] is None
+    assert rep.checks["K_stable"] is False
+    assert any("pairs uncertified on the 5-per-axis grid" in note for note in rep.notes)
+    tags = {m["quantity"] for m in rep.measurements}
+    assert "K_est_base" not in tags and "min_certified_ratio_base" in tags
+    assert "Infinity" not in rep.to_json()
+
+
 def test_pair_volume_all_pairs_below_separation(cap3):
     rep = run_pair_volume_sweep(
         cap3, 3, u_ladder=(0.0005,), pairs_per_u=2, deltas=(2.0**-5,), samples=1000
@@ -219,6 +233,24 @@ def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypa
     }
 
 
+def test_cone_incidence_keeps_empty_tubes_out_of_the_fit(cap3):
+    # 20 draws per tube leave most tubes without a hit: log2(0) used to turn
+    # the slopes into NaN without a note
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = run_cone_incidence(cap3, 2026, sweep_lines=2, check_lines=2, samples=20)
+    empty = [(m["quantity"], m["delta"]) for m in rep.measurements
+             if m["quantity"].endswith("_tube_volume") and m["value"] == 0.0]
+    assert empty
+    for quantity, delta in empty:
+        line = int(quantity[4:7])
+        assert f"line {line} delta {delta:g}: no sample hit the tube; " \
+               "line kept out of the slope fit" in rep.notes
+    assert rep.verdict != "pass"
+    assert all(v is None or np.isfinite(v) for v in rep.fits.values())
+    assert rep.fits["constant_lo"] != 0.0
+
+
 def test_cone_incidence_notes_roots_that_fail_to_polish(cap3, monkeypatch):
     polish = cones._polish_root
 
@@ -275,6 +307,37 @@ def test_projection_sweep_planar_dust(cap3, dust7):
     assert rep.fits["in_band_fraction"] == 1.0
     assert 0.7 < rep.fits["dim_min"] <= rep.fits["dim_max"] < 0.9
     assert len(rep.measurements) == 12
+
+
+def test_box_count_work_goes_to_the_sidecar_only(tmp_path, cap3, dust7, monkeypatch):
+    box, fits = experiments.sets.box_dimension, []
+
+    def recorded(*args):
+        fits.append(box(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(experiments.sets, "box_dimension", recorded)
+    stamp = "20260101T000000Z"
+    runs = [
+        run_projection_dimension_sweep(cap3, dust7, 31, x_samples=3, k_window=(4, 10),
+                                       band=(0.7, 0.9), collapse_x=[0.5]),
+        run_exceptional_set_survey(cap3, dust7, 33, s_grid=(0.3,), x_resolution_exp=2,
+                                   k_window=(4, 10)),
+    ]
+    assert len(fits) == 4 + 4
+    for rep, images in zip(runs, (fits[:4], fits[4:])):
+        rep.write(tmp_path / "with", timestamp=stamp)
+        dataclasses.replace(rep, counters={}).write(tmp_path / "without", timestamp=stamp)
+        for name in (f"report_{rep.experiment}_{stamp}.json", f"raw_{rep.experiment}_{stamp}.csv"):
+            assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+        meta = json.loads((tmp_path / "with" / f"report_{rep.experiment}_{stamp}.meta.json").read_text())
+        assert meta["counters"] == {
+            "box_dimension.images": len(images),
+            "box_dimension.points": len(images) * dust7.points.shape[0],
+            "box_dimension.rows_keyed": sum(f.rows_keyed for f in images),
+            "box_dimension.pieces_expanded": sum(f.pieces_expanded for f in images),
+        }
+        assert 0 < meta["counters"]["box_dimension.rows_keyed"] < meta["counters"]["box_dimension.points"]
 
 
 def test_projection_sweep_aborts_on_shallow_fractal(cap3):

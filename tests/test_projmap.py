@@ -178,12 +178,26 @@ def test_family_survey_certifies_every_pair(cap3):
     r1 = survey_family(cap3, zs, 300, rng_stream(9, 2), per_axis=65)
     r2 = survey_family(cap3, zs, 300, rng_stream(9, 2), per_axis=129)
     assert r1.all_certified and r2.all_certified
+    assert r1.uncertified == r2.uncertified == 0
     assert r1.min_ratio > 0.0
     assert 0.0 < r1.bilipschitz_lo <= r1.bilipschitz_hi < math.inf
     assert r1.bilipschitz_hi / r1.bilipschitz_lo < 50.0
     assert math.isfinite(r1.K_est)
     assert abs(r1.K_est - r2.K_est) <= 0.2 * r2.K_est
     assert r1.D_est >= 1.0
+
+
+def test_uncertified_survey_has_no_finite_constant():
+    # on a coarse grid at n = 4 the continuity margin exceeds the grid minimum
+    chart = make_cap_chart(4, 0.6)
+    zs = sample_ball(rng_stream(15, 4), 4, 40, 0.5)
+    report = survey_family(chart, zs, 20, rng_stream(15, 0), per_axis=5)
+    assert 0 < report.uncertified <= report.samples
+    assert report.min_ratio <= 0.0
+    assert not report.all_certified
+    assert report.K_est == math.inf
+    fine = survey_family(make_cap_chart(3, 0.6), zs[:, :3] * 0.9, 20, rng_stream(15, 0))
+    assert fine.uncertified == 0 and fine.all_certified and math.isfinite(fine.K_est)
 
 
 @pytest.mark.parametrize("n", [3, 4])

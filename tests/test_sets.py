@@ -16,7 +16,8 @@ from projlab.sets import (
     separate_points,
     spread_delta_s_set,
 )
-from projlab.sets import _dyadic_cells, _morton_keys
+from projlab.manifold import frame_matrices, make_cap_chart
+from projlab.sets import _dyadic_cells, _morton_keys, _piece_rows
 from projlab.util import rng_stream
 
 MIDDLE_THIRD_DIM = math.log(2.0) / math.log(3.0)
@@ -288,6 +289,86 @@ def test_dimension_estimates_track_similarity_dimension():
         assert abs(fit.slope - fr.similarity_dim) <= 0.05
 
 
+# -- counting by construction pieces ----------------------------------------
+
+
+def projected_images(fr, count, seed):
+    """Images of a dust under the frames of the n = 3 cap at random x."""
+    cap = make_cap_chart(3, 0.6)
+    B = frame_matrices(cap, rng_stream(seed, 0).random((count, cap.dim)))
+    return [fr.points @ b.T for b in B]
+
+
+@pytest.mark.parametrize("placement, level", [("planar", 7), ("axis", 9), ("diagonal", 9)])
+def test_piece_counts_equal_full_keying_at_every_scale(placement, level):
+    m = 4 if placement == "planar" else 2
+    fr = build_cantor_dust(3, m, 2.0**-2.5 if m == 4 else 0.3, level, placement=placement)
+    straddled = 0
+    for img in projected_images(fr, 4, 30 + level):
+        for k_min, k_max in [(0, 6), (4, 10), (7, 13)]:
+            full = list(_dyadic_cells(img, k_min, k_max))
+            for stride in {m, m**3, m ** (level - 1), fr.piece_stride(k_max)}:
+                rows, expanded = _piece_rows(img, stride, k_max)
+                assert list(_dyadic_cells(rows, k_min, k_max)) == full
+                fit = box_dimension(img, k_min, k_max, stride)
+                ref = box_dimension(img, k_min, k_max)
+                assert (fit.scales, fit.counts, fit.excluded, fit.slope, fit.warning) == (
+                    ref.scales, ref.counts, ref.excluded, ref.slope, ref.warning)
+                assert (fit.rows_keyed, fit.pieces_expanded) == (rows.shape[0], expanded)
+                assert ref.rows_keyed == img.shape[0]
+                # some pieces one row each, the others keyed row by row
+                straddled += 0 < expanded < stride
+    assert straddled >= 6
+
+
+def test_piece_stride_is_derived_from_the_construction():
+    dust = build_cantor_dust(3, 4, 2.0**-2.5, 10, placement="planar")
+    # the smallest L with 0.98 r^L <= 2^-16
+    assert dust.piece_stride(10) == 4**7
+    assert dust.piece_stride(4) == 4**4
+    # capped below the construction level, so a piece keeps more than one point
+    assert dust.piece_stride(40) == 4**9
+    assert build_cantor_dust(3, 4, 2.0**-2.5, 1, placement="planar").piece_stride(10) is None
+    plain = FractalSet(n=3, points=dust.points, similarity_dim=0.8, cell_side=1.0, level=10)
+    assert plain.piece_stride(10) is None
+
+
+def test_piece_counting_still_rejects_non_finite_rows():
+    fr = build_cantor_dust(3, 4, 2.0**-2.5, 6, placement="planar")
+    stride = fr.piece_stride(10)
+    for bad in (np.nan, np.inf, -np.inf):
+        img = projected_images(fr, 1, 41)[0]
+        img[stride + 5, 1] = bad
+        with pytest.raises(ScaleError):
+            box_dimension(img, 4, 10, stride)
+        # a piece whose every row is infinite lies in "one cell" but still raises
+        img[5::stride] = bad
+        with pytest.raises(ScaleError):
+            box_dimension(img, 4, 10, stride)
+
+
+def test_piece_counting_saturates_against_every_point():
+    fr = build_cantor_dust(3, 4, 2.0**-2.5, 6, placement="planar")
+    img = projected_images(fr, 1, 42)[0]
+    fit = box_dimension(img, 6, 12, fr.piece_stride(12))
+    # N(2^-12) exceeds 0.45 of the keyed rows but not 0.45 of all 4096 points
+    assert 0.45 * fit.rows_keyed < fit.counts[-1] <= 0.45 * img.shape[0]
+    assert fit.scales[-1] == 12 and fit.warning is None
+    assert fit.counts == box_dimension(img, 6, 12).counts
+
+
+def test_product_fractals_and_odd_strides_take_the_full_path():
+    pair = product_fractal([("cantor", 2, 0.25, 8), ("uniform", 64)])
+    assert pair.piece_stride(10) is None
+    fit = box_dimension(pair.points, 3, 10, pair.piece_stride(10))
+    ref = box_dimension(pair.points, 3, 10)
+    assert fit.counts == ref.counts and fit.rows_keyed == pair.points.shape[0]
+    # a stride that does not divide the row count keys every row
+    odd = box_dimension(pair.points, 3, 10, 3)
+    assert odd.counts == ref.counts
+    assert (odd.rows_keyed, odd.pieces_expanded) == (pair.points.shape[0], 0)
+
+
 # -- spread sets ------------------------------------------------------------
 
 
@@ -297,3 +378,23 @@ def test_spread_set_matches_budget():
     assert sp.min() >= 0.0 and sp.max() <= 1.0
     gaps = np.diff(np.sort(sp[:, 0]))
     assert gaps.min() >= 2.0**-10
+
+
+def test_separation_is_the_maximal_greedy():
+    # scipy returns query_pairs in no set order; read in that order, the
+    # greedy dropped points no kept point covered
+    for seed in range(3):
+        pts = rng_stream(14, 40, seed).random((400, 2))
+        delta = 0.05
+        kept = separate_points(pts, delta)
+        gap, _ = cKDTree(kept).query(pts)
+        assert gap.max() < delta
+        pair_gap = cKDTree(kept).query(kept, k=2)[0][:, 1]
+        assert pair_gap.min() >= delta
+        # the lexicographic greedy: keep a point unless an earlier kept one is near
+        order = pts[np.lexsort(pts.T[::-1])]
+        greedy = []
+        for p in order:
+            if all(np.linalg.norm(p - q) >= delta * (1.0 - 1e-12) for q in greedy):
+                greedy.append(p)
+        assert np.array_equal(kept, np.array(greedy))
