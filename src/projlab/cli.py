@@ -17,21 +17,14 @@ import numpy as np
 from . import experiments as ex
 from . import sets
 
-EXPERIMENT_NAMES = (
-    "manifold-info",
-    "cinematic-check",
-    "pair-volume",
-    "cone-incidence",
-    "config-bound",
-    "project-dim",
-    "exceptional-set",
-    "cone-membership",
-    "incidence-count",
-)
+EXPERIMENT_NAMES = tuple(ex.EXPERIMENTS)
 
 NEEDS_FRACTAL = {"project-dim", "exceptional-set", "cone-membership", "incidence-count"}
 
-_PLACEMENTS = ("axis", "planar", "diagonal", "product", "product-axes")
+_PLACEMENTS = (*sets._PLACEMENTS, "product-axes")
+
+# the chart when no [manifold] section or key says otherwise
+_DEFAULT_MANIFOLD = {"kind": "cap", "n": 3, "c": 0.6}
 
 # per-experiment key schema: name -> (kind, constraint description or None)
 _INT = "int"
@@ -181,23 +174,23 @@ def _check_constraint(value, constraint, path, errors, n):
 
 
 def _parse_manifold(cp, errors) -> dict:
-    out = {"kind": "cap", "n": 3, "c": 0.6}
+    out = dict(_DEFAULT_MANIFOLD)
     if not cp.has_section("manifold"):
         return out
     sec = cp["manifold"]
     for key in sec:
         if key not in _MANIFOLD_KEYS:
             errors.append(f"manifold.{key}: unknown key")
-    kind = sec.get("kind", "cap")
+    kind = sec.get("kind", out["kind"])
     if kind not in ("cap", "perturbed-cap"):
         errors.append(f"manifold.kind: {kind!r} not one of cap, perturbed-cap")
     out["kind"] = kind
-    n = _parse_scalar(sec.get("n", "3"), _INT, "manifold.n", errors)
+    n = _parse_scalar(sec.get("n", str(out["n"])), _INT, "manifold.n", errors)
     if n is not None:
         if n < 3:
             errors.append(f"manifold.n: ambient dimension {n} below 3")
         out["n"] = n
-    c = _parse_scalar(sec.get("c", "0.6"), _FLOAT, "manifold.c", errors)
+    c = _parse_scalar(sec.get("c", repr(out["c"])), _FLOAT, "manifold.c", errors)
     if c is not None:
         if not (-1.0 < c < 1.0) or c == 0.0:
             errors.append(
@@ -365,11 +358,8 @@ def _build_fractal(cfg: ExperimentConfig, chart):
 
 def dispatch(cfg: ExperimentConfig) -> int:
     chart = ex.chart_from_params(cfg.manifold)
-    run_snapshot = {
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-        "experiments": list(cfg.experiments),
-    }
+    # out_dir goes to the sidecar, so the report bytes do not depend on it
+    run_snapshot = {"seed": cfg.seed, "experiments": list(cfg.experiments)}
     worst = 0
     for name in cfg.experiments:
         fn = ex.EXPERIMENTS[name]
@@ -429,7 +419,7 @@ def main(argv=None) -> int:
         if args.config:
             cfg = parse_config(args.config)
         else:
-            cfg = ExperimentConfig([], {"kind": "cap", "n": 3, "c": 0.6}, None)
+            cfg = ExperimentConfig([], dict(_DEFAULT_MANIFOLD), None)
         chosen = args.experiment_flag or args.experiment
         if chosen:
             cfg.experiments = [chosen]

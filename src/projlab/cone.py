@@ -95,15 +95,10 @@ def nearest_direction(
 
 @dataclass
 class Cone:
-    """Two-sided cone {apex + r*Sigma(x) : r in [-1,1], x in the chart cube}.
-
-    one_sided restricts to r in [0, 1] (the half used in graph arguments).
-    """
+    """Two-sided cone {apex + r*Sigma(x) : r in [-1,1], x in the chart cube}."""
 
     chart: ManifoldChart
     apex: np.ndarray
-    one_sided: bool = False
-    seeds_per_axis: int = 64
 
     def __post_init__(self):
         self.apex = np.asarray(self.apex, dtype=float)
@@ -114,23 +109,17 @@ class Cone:
         pts = self.chart.point(np.asarray(x, dtype=float))
         return self.apex + np.asarray(r, dtype=float)[..., None] * pts
 
-    def distance(self, p) -> np.ndarray:
-        return cone_distance(self, p)
-
     def nearest(self, p):
         """(distance, params, radius) of the closest surface point per query."""
         return _cone_nearest(self, np.atleast_2d(np.asarray(p, dtype=float)))
 
 
-def _signed_nearest(cone: Cone, d: np.ndarray, one_sided: bool):
+def _signed_nearest(cone: Cone, d: np.ndarray):
     """Angular nearest chart parameters and cosine of the better of +d and
-    -d (of +d alone when one_sided), with the sign (+1 or -1) that won.
-    Both signs go to `nearest_direction` in one batch."""
+    -d, with the sign (+1 or -1) that won.  Both signs go to
+    `nearest_direction` in one batch."""
     m = d.shape[0]
-    dirs = d if one_sided else np.concatenate([d, -d])
-    x, cosine, _ = nearest_direction(cone.chart, dirs, cone.seeds_per_axis)
-    if one_sided:
-        return x, cosine, np.ones(m)
+    x, cosine, _ = nearest_direction(cone.chart, np.concatenate([d, -d]))
     neg = cosine[m:] > cosine[:m]
     return (np.where(neg[:, None], x[m:], x[:m]), np.where(neg, cosine[m:], cosine[:m]),
             np.where(neg, -1.0, 1.0))
@@ -141,8 +130,8 @@ def _cone_nearest(cone: Cone, p: np.ndarray):
     dist_apex = np.linalg.norm(rel, axis=-1)
     safe = np.maximum(dist_apex, 1e-300)
     d = rel / safe[..., None]
-    x, cosine, sign = _signed_nearest(cone, d, cone.one_sided)
-    r = np.clip(sign * dist_apex * cosine, -1.0 if not cone.one_sided else 0.0, 1.0)
+    x, cosine, sign = _signed_nearest(cone, d)
+    r = np.clip(sign * dist_apex * cosine, -1.0, 1.0)
     foot = cone.apex + r[..., None] * cone.chart.point(x)
     dist = np.linalg.norm(p - foot, axis=-1)
     # the apex itself lies on the cone (r = 0)
@@ -181,19 +170,26 @@ def tangent_plane_angle(cone: Cone, p, line: LineSegment) -> float:
 # bracketed roots
 
 
-def _refine_brackets(f, lo, hi, flo, fhi, tol: float = 1e-12, steps: int = 80) -> np.ndarray:
+# Bracket width at which `_refine_brackets` stops, and its step cap.
+_BRACKET_TOL = 1e-12
+_BRACKET_STEPS = 80
+
+
+def _refine_brackets(f, lo, hi, flo, fhi) -> np.ndarray:
     """Roots of f in the sign-change brackets [lo, hi], all refined together
     by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
 
-    Each step makes one batched call f(t) on the brackets still at least tol
-    wide.  An endpoint kept twice in a row has its value halved, so both
-    ends keep moving; trial points stay tol/4 inside the bracket, so a root
-    within tol/4 of an end collapses it.  Returns the bracket midpoints.
+    Each step (at most _BRACKET_STEPS) makes one batched call f(t) on the
+    brackets still at least tol = _BRACKET_TOL wide.  An endpoint kept twice
+    in a row has its value halved, so both ends keep moving; trial points
+    stay tol/4 inside the bracket, so a root within tol/4 of an end
+    collapses it.  Returns the bracket midpoints.
     """
+    tol = _BRACKET_TOL
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
     kept = np.zeros(lo.shape, dtype=int)  # end kept by the last step: 1 lo, -1 hi
-    for _ in range(steps):
+    for _ in range(_BRACKET_STEPS):
         live = np.flatnonzero(hi - lo >= tol)
         if not live.size:
             break
@@ -238,7 +234,7 @@ def _radial_defect(cone: Cone, pts: np.ndarray):
     rel = pts - cone.apex
     rad = np.linalg.norm(rel, axis=-1)
     d = rel / np.maximum(rad, 1e-300)[..., None]
-    x, _, sign = _signed_nearest(cone, d, False)
+    x, _, sign = _signed_nearest(cone, d)
     signed_d = sign[:, None] * d
     sigma = cone.chart.point(x)
     nu = cone.chart.normal(x)
@@ -249,13 +245,12 @@ def line_cone_points(
     cone: Cone,
     line: LineSegment,
     grid: int = 10_000,
-    tol: float = 1e-12,
 ) -> Cuts:
     """All intersection points of the segment with the cone surface.
 
     Brackets sign changes of the radial side defect along a fine t-grid,
-    refines all brackets together to width tol, then polishes each root on
-    the full system line(t) = apex + r*Sigma(x) and keeps roots with
+    refines all brackets together to width _BRACKET_TOL, then polishes each
+    root on the full system line(t) = apex + r*Sigma(x) and keeps roots with
     on-surface residual below 1e-10.  Segments lying inside a generatrix
     are rejected.
     """
@@ -274,7 +269,7 @@ def line_cone_points(
     flips = np.flatnonzero(np.sign(sigma[:-1]) * np.sign(sigma[1:]) < 0)
     roots = list(_refine_brackets(
         lambda t: _radial_defect(cone, line.point(t))[0],
-        ts[flips], ts[flips + 1], sigma[flips], sigma[flips + 1], tol,
+        ts[flips], ts[flips + 1], sigma[flips], sigma[flips + 1],
     ))
     roots.extend(float(ts[i]) for i in np.flatnonzero(np.abs(sigma) < 1e-15))
     out = Cuts()
@@ -320,8 +315,6 @@ def _polish_root(cone: Cone, line: LineSegment, t: float):
         x = np.clip(x + step[2:] * scale, 0.0, 1.0)
     resid = float(cone_distance(cone, line.point(np.array([t]))[0]))
     if resid > 1e-10:
-        return None
-    if cone.one_sided and r < -1e-9:
         return None
     if abs(r) > 1.0 + 1e-9:
         return None
@@ -477,19 +470,22 @@ def line_cone_tube_volume(
     return TubeReport(volume, stderr, hits, drawn, components, min_angle, flag, int(live.size))
 
 
+_MAX_TRIES = 50
+
+
 def make_transversal_lines(
     cone: Cone,
     a: float,
     count: int,
     rng: np.random.Generator,
-    max_tries: int = 50,
 ) -> list[tuple[LineSegment, Cuts]]:
     """Random secant lines whose tangent angle at every intersection point
     is at least `a`, each paired with its cuts and their angles (no cut of
-    an accepted line lies within 0.05 of the apex)."""
+    an accepted line lies within 0.05 of the apex); at most _MAX_TRIES
+    candidates per requested line."""
     out: list[tuple[LineSegment, Cuts]] = []
     tries = 0
-    while len(out) < count and tries < max_tries * count:
+    while len(out) < count and tries < _MAX_TRIES * count:
         tries += 1
         x = rng.uniform(0.05, 0.95, size=(2, cone.chart.dim))
         r = rng.uniform(0.35, 0.9, size=2)

@@ -95,9 +95,10 @@ class ExperimentReport:
 
     def write(self, out_dir, timestamp: str | None = None) -> dict:
         """Write report_<name>_<timestamp>.json, raw_<name>_<timestamp>.csv
-        and the .meta.json sidecar.  Without a timestamp the current UTC
-        second is used, suffixed -2, -3, ... past the reports of this
-        experiment already in out_dir, so no write replaces another."""
+        and the .meta.json sidecar, which also names out_dir.  Without a
+        timestamp the current UTC second is used, suffixed -2, -3, ... past
+        the reports of this experiment already in out_dir, so no write
+        replaces another."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if timestamp is None:
@@ -107,7 +108,7 @@ class ExperimentReport:
         report_path.write_text(self.to_json())
         csv_path.write_text(self.csv_text())
         meta = {"wall_clock_seconds": self.wall_clock_seconds, "timestamp": timestamp,
-                "counters": self.counters}
+                "out_dir": str(out_dir), "counters": self.counters}
         meta_path = out / f"report_{self.experiment}_{timestamp}.meta.json"
         meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
         return {"report": str(report_path), "csv": str(csv_path), "meta": str(meta_path)}
@@ -204,7 +205,8 @@ class ConfigurationError(ValueError):
 class Configuration:
     """A map family over spread base sets: centers z (separation delta in
     the displacement surrogate), a shared base set X per map with constant
-    covering count M, and the union of graph points E in [0,1]^(2n-3)."""
+    covering count M (counted once, when built), and the union of graph
+    points E in [0,1]^(2n-3)."""
 
     chart: ManifoldChart
     delta: float
@@ -213,14 +215,17 @@ class Configuration:
     C: float
     centers: np.ndarray
     base_points: np.ndarray
+    M: int = field(init=False)
+
+    def __post_init__(self):
+        self.M = sets.covering_number(self.base_points, self.delta)
 
     def validate(self) -> list[str]:
         problems = []
         k = sets.scale_exponent(self.delta)
-        M = sets.covering_number(self.base_points, self.delta)
-        if M < 2.0 ** (k * self.s) / (self.C * 4.0):
+        if self.M < 2.0 ** (k * self.s) / (self.C * 4.0):
             problems.append(
-                f"base covering {M} below (1/C) delta^-s / 4 = "
+                f"base covering {self.M} below (1/C) delta^-s / 4 = "
                 f"{2.0 ** (k * self.s) / (self.C * 4.0):.1f}"
             )
         if self.centers.shape[0] > 1:
@@ -239,10 +244,6 @@ class Configuration:
         if np.max(np.linalg.norm(self.centers, axis=1)) > 0.5:
             problems.append("centers leave B(o, 1/2)")
         return problems
-
-    @property
-    def M(self) -> int:
-        return sets.covering_number(self.base_points, self.delta)
 
     def union_points(self) -> np.ndarray:
         B = frame_matrices(self.chart, self.base_points)
@@ -287,8 +288,7 @@ def run_manifold_info(chart: ManifoldChart, seed: int = 0, samples: int = 1000) 
     dual = chart.dual()
     kappa_star = manifold.principal_curvatures(dual, x)
     prod_err = float(np.abs(kappa * kappa_star - 1.0).max())
-    consts = chart.constants
-    for name, value in consts.as_dict().items():
+    for name, value in asdict(chart.constants).items():
         rep.record(0.0, f"constant_{name}", value)
     rep.record(0.0, "kappa_product_error", prod_err, samples=samples)
     rep.checks["kappa_product_ok"] = bool(prod_err <= 1e-6)

@@ -636,19 +636,6 @@ class ChartConstants:
     coeff_margin: float
     samples: int
 
-    def as_dict(self) -> dict:
-        return {
-            "jacobian_scale": self.jacobian_scale,
-            "jacobian_floor": self.jacobian_floor,
-            "kappa_min": self.kappa_min,
-            "kappa_max": self.kappa_max,
-            "sectional_min": self.sectional_min,
-            "frame_conditioning": self.frame_conditioning,
-            "christoffel_bound": self.christoffel_bound,
-            "coeff_margin": self.coeff_margin,
-            "samples": self.samples,
-        }
-
 
 def _estimate_constants(chart: ManifoldChart) -> ChartConstants:
     d = chart.dim

@@ -27,11 +27,9 @@ __all__ = [
     "CinematicMap",
     "FrameField",
     "C2Distance",
-    "InfimumCertificate",
     "MCVolume",
     "CinematicReport",
     "c2_distance",
-    "cinematic_infimum",
     "vertical_slab_volume",
     "pair_intersection_volume",
     "survey_family",
@@ -191,66 +189,20 @@ def c2_distance(f: CinematicMap, g: CinematicMap, per_axis: int | None = None) -
     )
 
 
-@dataclass
-class InfimumCertificate:
-    raw: float  # grid minimum of |h| + |grad_xi h|
-    certified: float  # raw minus the continuity margin
-    margin: float
-    norm_c2: float  # C^2 norm of h (grid estimate)
-    norm_upper: float  # norm estimate plus its own slack
-    ratio: float  # certified / norm_upper: a certified lower bound
-    argmin_x: np.ndarray
-    grid_per_axis: int
-
-    @property
-    def positive(self) -> bool:
-        return self.certified > 0.0
-
-
-def cinematic_infimum(
-    f: CinematicMap,
-    g: CinematicMap,
-    per_axis: int | None = None,
-    xi_count: int | None = None,
-) -> InfimumCertificate:
-    """Certified lower bound of inf_(x,xi) (|h(x)| + |grad_xi h(x)|), h = f - g.
-
-    The infimum runs over parameter points and unit directions xi; this is
-    the single-pair case of `_certificates`, which states the margin.
-    """
-    if f.chart is not g.chart:
-        raise ValueError("cinematic_infimum requires maps over the same chart")
-    if np.array_equal(f.z, g.z):
-        raise ValueError("degenerate pair: the two maps coincide")
-    ff = _field(f.chart, per_axis)
-    cert = _certificates(ff, (f.z - g.z)[None, :], xi_count)
-    return InfimumCertificate(
-        raw=float(cert["raw"][0]),
-        certified=float(cert["certified"][0]),
-        margin=float(cert["margin"][0]),
-        norm_c2=float(cert["norm_c2"][0]),
-        norm_upper=float(cert["norm_upper"][0]),
-        ratio=float(cert["ratio"][0]),
-        argmin_x=ff.x[cert["argmin"][0]],
-        grid_per_axis=ff.per_axis,
-    )
-
-
-def _certificates(ff: FrameField, W: np.ndarray, xi_count: int | None) -> dict:
+def _certificates(ff: FrameField, W: np.ndarray) -> dict:
     """Certified infima of |h| + |grad_xi h| for h = B(x) w, per row w of W.
 
-    The objective is minimized over the grid nodes and xi_count unit
-    directions xi.  The grid minimum `raw` is reduced by the `margin`
-    (sup|grad| + sup|Hess|) times the mesh half-diagonal plus sup|grad|
-    times half the direction mesh, so a positive `certified` value
-    genuinely separates the maps.  `ratio` is certified over the C^2 norm's
+    The objective is minimized over the grid nodes and 2, 64 or 192 unit
+    directions xi (chart dimension 1, 2 or 3).  The grid minimum `raw` is
+    reduced by the `margin` (sup|grad| + sup|Hess|) times the mesh
+    half-diagonal plus sup|grad| times half the direction mesh, so a
+    positive `certified` value genuinely separates the maps.  `ratio` is certified over the C^2 norm's
     upper estimate `norm_upper` (inf when that is 0), `c1` the C^1 norm and
     `argmin` the grid index of the minimizing node; all are arrays over W.
     """
     d = ff.chart.dim
     vals, sup_v, sup_g, sup_h, slack = _c2_stats(ff, W)
-    if xi_count is None:
-        xi_count = {1: 2, 2: 64, 3: 192}[d]
+    xi_count = {1: 2, 2: 64, 3: 192}[d]
     xi = unit_directions(d, xi_count)
     dgrad = np.linalg.norm(np.einsum("pgcj,kj->pgkc", ff.gradients(W), xi), axis=-1)
     objective = (vals[:, :, None] + dgrad).reshape(W.shape[0], -1)
@@ -409,7 +361,6 @@ class CinematicReport:
     bilipschitz_lo: float  # C^1 distance / displacement ratio bounds
     bilipschitz_hi: float
     samples: int
-    diameter_c2: float  # largest pairwise C^2 distance seen
     min_ratio: float  # smallest certified infimum ratio
     all_certified: bool
     grid_per_axis: int
@@ -429,7 +380,6 @@ def survey_family(
     pair_count: int,
     rng: np.random.Generator,
     per_axis: int | None = None,
-    xi_count: int | None = None,
 ) -> CinematicReport:
     """Empirical cinematic constants over random pairs drawn from zs.
 
@@ -446,7 +396,7 @@ def survey_family(
         raise ValueError("survey_family: no sampled pair has two distinct indices into zs")
     W = zs[idx[:, 0]] - zs[idx[:, 1]]
     sep = np.linalg.norm(W, axis=-1)
-    blocks = [_certificates(ff, W[i : i + _CERT_BLOCK], xi_count)
+    blocks = [_certificates(ff, W[i : i + _CERT_BLOCK])
               for i in range(0, W.shape[0], _CERT_BLOCK)]
     cert = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
     bil = cert["c1"] / sep
@@ -461,7 +411,6 @@ def survey_family(
         bilipschitz_lo=float(bil.min()),
         bilipschitz_hi=float(bil.max()),
         samples=int(W.shape[0]),
-        diameter_c2=float(cert["norm_c2"].max()),
         min_ratio=float(cert["ratio"].min()),
         all_certified=not uncertified,
         grid_per_axis=ff.per_axis,

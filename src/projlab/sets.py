@@ -282,27 +282,19 @@ def build_cantor_dust(
     r: float,
     level: int,
     placement: str = "axis",
-    offsets: np.ndarray | None = None,
     scale_to_ball: bool = True,
 ) -> FractalSet:
     """Self-similar dust from m branches of ratio r iterated `level` times.
 
     Placement presets lay the branch translations on a coordinate axis, a
     2-plane grid, the main diagonal, or as an n-fold product of the axis
-    digit set; explicit offsets (m rows in [0, 1-r]^n) override the preset.
-    The similarity dimension is log(branches)/log(1/r).
+    digit set.  The similarity dimension is log(branches)/log(1/r).
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"ratio must lie in (0,1), got {r}")
     if m < 1 or level < 0:
         raise ValueError("branch count must be >= 1 and level >= 0")
-    if offsets is None:
-        offsets = _branch_offsets(n, m, r, placement)
-    else:
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.shape != (m, n) or offsets.min() < 0.0 or offsets.max() > 1.0 - r + 1e-12:
-            raise ValueError("offsets must be (m, n) values in [0, 1-r]")
-        placement = "explicit"
+    offsets = _branch_offsets(n, m, r, placement)
     branches = offsets.shape[0]
     if branches ** level > 100_000_000:
         raise ValueError(f"{branches}^{level} points exceed the 1e8 construction cap")
@@ -326,7 +318,7 @@ def build_cantor_dust(
     )
 
 
-def product_fractal(axes: list, scale_to_ball: bool = True) -> FractalSet:
+def product_fractal(axes: list) -> FractalSet:
     """Cartesian product of independent one-dimensional constructions.
 
     Each axis spec is ('cantor', m, ratio, level), ('uniform', count) for
@@ -365,15 +357,11 @@ def product_fractal(axes: list, scale_to_ball: bool = True) -> FractalSet:
         raise ValueError("product construction exceeds the 1e8 point cap")
     mesh = np.meshgrid(*coords, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
-    cell = min(cells)
-    if scale_to_ball:
-        pts = _ball_transform(pts, n)
-        cell *= 0.98 / math.sqrt(n)
     return FractalSet(
         n=n,
-        points=pts,
+        points=_ball_transform(pts, n),
         similarity_dim=float(sum(dims)),
-        cell_side=cell,
+        cell_side=min(cells) * (0.98 / math.sqrt(n)),
         level=max(levels),
         generator={"axes": [list(s) for s in axes], "product": True},
     )
@@ -464,14 +452,10 @@ def box_dimension(points: np.ndarray, k_min: int, k_max: int,
 
 
 def separate_points(pts: np.ndarray, delta: float) -> np.ndarray:
-    """Greedy thinning of a point set to pairwise distance >= delta."""
-    return _separate(np.atleast_2d(np.asarray(pts, dtype=float)), delta)
-
-
-def _separate(pts: np.ndarray, delta: float) -> np.ndarray:
     """Lexicographic greedy thinning to pairwise distance >= delta (closed
     comparison): a point is kept unless an earlier kept point lies within
     delta, so every input point lies within delta of a kept one."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[0] <= 1:
         return pts
     from scipy.spatial import cKDTree

@@ -1,7 +1,8 @@
 import json
-import shutil
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,8 +144,10 @@ def test_run_writes_report_and_exits_zero(tmp_path, capsys):
     rep = read_single_report(out)
     assert rep["verdict"] == "pass"
     assert rep["seed"] == 3
-    assert rep["config"]["run"]["out_dir"] == str(out)
-    assert sorted(out.glob("raw_*.csv")) and sorted(out.glob("*.meta.json"))
+    assert "out_dir" not in rep["config"]["run"]
+    (meta,) = out.glob("*.meta.json")
+    assert json.loads(meta.read_text())["out_dir"] == str(out)
+    assert sorted(out.glob("raw_*.csv"))
 
 
 def test_two_experiments_two_reports(tmp_path):
@@ -255,26 +258,30 @@ def test_s_grid_at_or_above_ambient_dimension_rejected(tmp_path, capsys):
 
 
 def test_identical_runs_are_byte_identical(tmp_path, capsys):
+    # the second run writes to another directory: out_dir is not in the bytes
     cfg = write_config(tmp_path, "[manifold-info]\nsamples = 250\n")
-    out = tmp_path / "out"
     outs = []
-    for _ in range(2):
+    for out in (tmp_path / "out", tmp_path / "elsewhere"):
         rc = cli.main(["manifold-info", "--config", cfg, "--out-dir", str(out), "--seed", "7"])
         assert rc == 0
         reports = [p for p in out.glob("report_*.json") if not p.name.endswith(".meta.json")]
         (csv,) = out.glob("raw_manifold-info_*.csv")
         outs.append((reports[0].read_bytes(), csv.read_bytes()))
-        shutil.rmtree(out)
     capsys.readouterr()
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
 
 
+def run_python(*args):
+    """A child interpreter that imports the projlab this process imported."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "projlab.cli", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "projlab.cli", "--help")
     assert proc.returncode == 0
     assert "projlab" in proc.stdout
 
@@ -282,7 +289,7 @@ def test_console_entry_point_runs():
 def test_cli_import_loads_no_scipy():
     code = ("import sys, projlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -292,6 +299,6 @@ def test_pair_volume_run_loads_no_scipy(tmp_path):
     code = ("import sys; from projlab.cli import main; "
             f"rc = main(['pair-volume', '--config', {cfg!r}, '--out-dir', {str(tmp_path)!r}]); "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
