@@ -10,8 +10,6 @@ from .manifold import (  # noqa: F401
     ManifoldChart,
     NonConvexityError,
     PerturbedCapChart,
-    make_cap_chart,
-    make_perturbed_cap_chart,
 )
 
 __version__ = "0.1.0"

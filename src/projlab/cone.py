@@ -1,11 +1,14 @@
 """Cones over a spherical cross-section chart, line intersections, tubes.
 
-The cone with apex z over a chart Sigma is {z + r * Sigma(x), r in [-1, 1]}.
-Every distance query factors through the angular nearest point on the
-cross-section: for p != z with d = (p - z)/|p - z|, the distance from p to
-the full cone is |p - z| * sin(theta) where theta is the spherical distance
-from d to Sigma union -Sigma, as long as the radial foot r = |p-z| cos
-(theta) stays inside [-1, 1]; outside, the rim point is used directly.
+The cone over a chart Sigma is {r * Sigma(x), r in [-1, 1]}: its apex is
+the origin, and a caller whose apex is z passes p - z.  The projection maps
+f_y, f_z are linear in the displacement, so their incidences are read at
+w = y - z against this cone.  Every distance query factors through the
+angular nearest point on the cross-section: for p != 0 with d = p/|p|, the
+distance from p to the full cone is |p| * sin(theta) where theta is the
+spherical distance from d to Sigma union -Sigma, as long as the radial foot
+r = |p| cos(theta) stays inside [-1, 1]; outside, the rim point is used
+directly.
 """
 from __future__ import annotations
 
@@ -15,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import ManifoldChart
+from .util import check_volume_args, unit_ball_volume
 
 __all__ = [
-    "Cone",
     "LineSegment",
     "Cuts",
     "GeneratrixError",
     "ApexError",
     "cone_distance",
+    "cone_nearest",
     "nearest_direction",
     "tangent_plane_angle",
     "line_cone_points",
@@ -93,57 +97,35 @@ def nearest_direction(
                                     seeds_per_axis, iters)
 
 
-@dataclass
-class Cone:
-    """Two-sided cone {apex + r*Sigma(x) : r in [-1,1], x in the chart cube}."""
-
-    chart: ManifoldChart
-    apex: np.ndarray
-
-    def __post_init__(self):
-        self.apex = np.asarray(self.apex, dtype=float)
-        if self.apex.shape != (self.chart.n,):
-            raise ValueError("apex dimension does not match the chart")
-
-    def surface_points(self, x, r) -> np.ndarray:
-        pts = self.chart.point(np.asarray(x, dtype=float))
-        return self.apex + np.asarray(r, dtype=float)[..., None] * pts
-
-    def nearest(self, p):
-        """(distance, params, radius) of the closest surface point per query."""
-        return _cone_nearest(self, np.atleast_2d(np.asarray(p, dtype=float)))
-
-
-def _signed_nearest(cone: Cone, d: np.ndarray):
+def _signed_nearest(chart: ManifoldChart, d: np.ndarray):
     """Angular nearest chart parameters and cosine of the better of +d and
     -d, with the sign (+1 or -1) that won.  Both signs go to
     `nearest_direction` in one batch."""
     m = d.shape[0]
-    x, cosine, _ = nearest_direction(cone.chart, np.concatenate([d, -d]))
+    x, cosine, _ = nearest_direction(chart, np.concatenate([d, -d]))
     neg = cosine[m:] > cosine[:m]
     return (np.where(neg[:, None], x[m:], x[:m]), np.where(neg, cosine[m:], cosine[:m]),
             np.where(neg, -1.0, 1.0))
 
 
-def _cone_nearest(cone: Cone, p: np.ndarray):
-    rel = p - cone.apex
-    dist_apex = np.linalg.norm(rel, axis=-1)
+def cone_nearest(chart: ManifoldChart, p: np.ndarray):
+    """(distance, params, radius) of the closest cone point to each row of p."""
+    dist_apex = np.linalg.norm(p, axis=-1)
     safe = np.maximum(dist_apex, 1e-300)
-    d = rel / safe[..., None]
-    x, cosine, sign = _signed_nearest(cone, d)
+    d = p / safe[..., None]
+    x, cosine, sign = _signed_nearest(chart, d)
     r = np.clip(sign * dist_apex * cosine, -1.0, 1.0)
-    foot = cone.apex + r[..., None] * cone.chart.point(x)
-    dist = np.linalg.norm(p - foot, axis=-1)
+    dist = np.linalg.norm(p - r[..., None] * chart.point(x), axis=-1)
     # the apex itself lies on the cone (r = 0)
     dist = np.where(dist_apex < 1e-300, 0.0, np.minimum(dist, dist_apex))
     return dist, x, r
 
 
-def cone_distance(cone: Cone, p) -> np.ndarray:
+def cone_distance(chart: ManifoldChart, p) -> np.ndarray:
     """Distance from p to the cone surface; 0 exactly on generatrix points."""
     arr = np.asarray(p, dtype=float)
     single = arr.ndim == 1
-    dist, _, _ = _cone_nearest(cone, np.atleast_2d(arr))
+    dist, _, _ = cone_nearest(chart, np.atleast_2d(arr))
     return float(dist[0]) if single else dist
 
 
@@ -151,17 +133,17 @@ def cone_distance(cone: Cone, p) -> np.ndarray:
 # tangent planes
 
 
-def tangent_plane_angle(cone: Cone, p, line: LineSegment) -> float:
+def tangent_plane_angle(chart: ManifoldChart, p, line: LineSegment) -> float:
     """Angle in [0, pi/2] between the line direction and the cone's tangent
     plane at p; the plane is the normal complement of the cross-section
     normal at the radial foot, so sin(angle) = |u . nu(x)|."""
     p = np.asarray(p, dtype=float)
-    dist, x, r = _cone_nearest(cone, p[None, :])
+    dist, x, r = cone_nearest(chart, p[None, :])
     if float(dist[0]) > 1e-8:
         raise ValueError(f"point is off the cone surface by {float(dist[0]):.3e}")
-    if float(np.linalg.norm(p - cone.apex)) < 1e-12:
+    if float(np.linalg.norm(p)) < 1e-12:
         raise ApexError("tangent plane undefined at the apex")
-    nu = cone.chart.normal(x)[0]
+    nu = chart.normal(x)[0]
     s = float(np.clip(np.abs(np.dot(line.direction, nu)), 0.0, 1.0))
     return math.asin(s)
 
@@ -226,23 +208,22 @@ class Cuts(list):
     angles: tuple[float, ...] | list[float] = ()
 
 
-def _radial_defect(cone: Cone, pts: np.ndarray):
+def _radial_defect(chart: ManifoldChart, pts: np.ndarray):
     """Signed side indicator of the radial projection relative to the
     cross-section: (d - Sigma(xhat)) . nu(xhat) with xhat the angular nearest
     chart point of the better of +-d.  C1 away from the apex; vanishes on
     the cone."""
-    rel = pts - cone.apex
-    rad = np.linalg.norm(rel, axis=-1)
-    d = rel / np.maximum(rad, 1e-300)[..., None]
-    x, _, sign = _signed_nearest(cone, d)
+    rad = np.linalg.norm(pts, axis=-1)
+    d = pts / np.maximum(rad, 1e-300)[..., None]
+    x, _, sign = _signed_nearest(chart, d)
     signed_d = sign[:, None] * d
-    sigma = cone.chart.point(x)
-    nu = cone.chart.normal(x)
+    sigma = chart.point(x)
+    nu = chart.normal(x)
     return np.einsum("...n,...n->...", signed_d - sigma, nu), x, sign < 0
 
 
 def line_cone_points(
-    cone: Cone,
+    chart: ManifoldChart,
     line: LineSegment,
     grid: int = 10_000,
 ) -> Cuts:
@@ -250,32 +231,31 @@ def line_cone_points(
 
     Brackets sign changes of the radial side defect along a fine t-grid,
     refines all brackets together to width _BRACKET_TOL, then polishes each
-    root on the full system line(t) = apex + r*Sigma(x) and keeps roots with
+    root on the full system line(t) = r*Sigma(x) and keeps roots with
     on-surface residual below 1e-10.  Segments lying inside a generatrix
     are rejected.
     """
     ts = np.linspace(line.t0, line.t1, grid)
     pts = line.point(ts)
-    rel = pts - cone.apex
-    rad = np.linalg.norm(rel, axis=-1)
+    rad = np.linalg.norm(pts, axis=-1)
     ok = rad > 1e-12
     if np.count_nonzero(ok) >= 2:
-        d = rel[ok] / rad[ok][..., None]
+        d = pts[ok] / rad[ok][..., None]
         spread = np.linalg.norm(d - d[0], axis=-1)
         anti = np.linalg.norm(d + d[0], axis=-1)
         if float(np.minimum(spread, anti).max()) < 1e-8:
             raise GeneratrixError("segment lies along a single generatrix direction")
-    sigma, _, _ = _radial_defect(cone, pts)
+    sigma, _, _ = _radial_defect(chart, pts)
     flips = np.flatnonzero(np.sign(sigma[:-1]) * np.sign(sigma[1:]) < 0)
     roots = list(_refine_brackets(
-        lambda t: _radial_defect(cone, line.point(t))[0],
+        lambda t: _radial_defect(chart, line.point(t))[0],
         ts[flips], ts[flips + 1], sigma[flips], sigma[flips + 1],
     ))
     roots.extend(float(ts[i]) for i in np.flatnonzero(np.abs(sigma) < 1e-15))
     out = Cuts()
     seen: list[float] = []
     for t in sorted(roots):
-        t = _polish_root(cone, line, float(t))
+        t = _polish_root(chart, line, float(t))
         if t is None:
             out.dropped += 1
             continue
@@ -288,18 +268,18 @@ def line_cone_points(
     return out
 
 
-def _polish_root(cone: Cone, line: LineSegment, t: float):
-    """Newton on F(t, r, x) = line(t) - apex - r*Sigma(x) = 0 (n equations in
-    n unknowns), seeded from the radial projection at t."""
+def _polish_root(chart: ManifoldChart, line: LineSegment, t: float):
+    """Newton on F(t, r, x) = line(t) - r*Sigma(x) = 0 (n equations in n
+    unknowns), seeded from the radial projection at t."""
     p = line.point(np.array([t]))
-    dist, x, r = _cone_nearest(cone, p)
+    dist, x, r = cone_nearest(chart, p)
     x = x[0].copy()
     r = float(r[0])
     for _ in range(60):
         pt = line.point(np.array([t]))[0]
-        sig = cone.chart.point(x[None, :])[0]
-        J = cone.chart.jacobian(x[None, :])[0]
-        F = pt - cone.apex - r * sig
+        sig = chart.point(x[None, :])[0]
+        J = chart.jacobian(x[None, :])[0]
+        F = pt - r * sig
         if float(np.linalg.norm(F)) < 1e-14:
             break
         M = np.concatenate(
@@ -313,7 +293,7 @@ def _polish_root(cone: Cone, line: LineSegment, t: float):
         t += float(step[0]) * scale
         r += float(step[1]) * scale
         x = np.clip(x + step[2:] * scale, 0.0, 1.0)
-    resid = float(cone_distance(cone, line.point(np.array([t]))[0]))
+    resid = float(cone_distance(chart, line.point(np.array([t]))[0]))
     if resid > 1e-10:
         return None
     if abs(r) > 1.0 + 1e-9:
@@ -331,7 +311,6 @@ class TubeReport:
     stderr: float
     hits: int
     samples: int
-    components: int
     min_tangent_angle: float
     angle_flag: bool
     evaluated: int  # samples whose cone distance was computed
@@ -345,8 +324,6 @@ def _complement_basis(u: np.ndarray) -> np.ndarray:
 
 
 def _tube_volume_exact(line: LineSegment, delta: float) -> float:
-    from .util import unit_ball_volume
-
     n = line.base.shape[0]
     cyl = line.length * unit_ball_volume(n - 1) * delta ** (n - 1)
     caps = unit_ball_volume(n) * delta ** n
@@ -356,9 +333,9 @@ def _tube_volume_exact(line: LineSegment, delta: float) -> float:
 # Slack added to the node threshold of the tube pruning rule.  A computed
 # cone distance is the distance to an actual cone point, so it can only
 # overestimate, and an overestimate at a grid node could rule out a real hit.
-# The overestimate is about |p - apex| times the error in the sine of the
-# angle to the cross-section.  The nodes that matter lie within 1 + 3*delta
-# of the apex (the cone lies in the unit ball around it).  The largest sine
+# The overestimate is about |p| times the error in the sine of the angle to
+# the cross-section.  The nodes that matter lie within 1 + 3*delta of the
+# apex (the cone lies in the unit ball around it).  The largest sine
 # error `nearest_direction` was measured to make is 3.2e-16: on caps and
 # perturbed caps at n = 3 and n = 4 (40,000 and 8,000 random points),
 # against 200 projected Newton steps with no stopping rule; on the n = 4
@@ -368,34 +345,23 @@ def _tube_volume_exact(line: LineSegment, delta: float) -> float:
 _NODE_SLACK = 1e-4
 
 
-def _distance_grid(cone: Cone, line: LineSegment, delta: float) -> np.ndarray:
-    """Cone distance at the nodes t0, t0 + s, ... (s = delta/4, covering
+def _distance_grid(chart: ManifoldChart, line: LineSegment, delta: float) -> np.ndarray:
+    """The cone distance at the nodes t0, t0 + s, ... (s = delta/4, covering
     [t0, t1]) along the segment."""
     step = delta / 4.0
-    return cone_distance(cone, line.point(np.arange(line.t0, line.t1 + step, step)))
+    return cone_distance(chart, line.point(np.arange(line.t0, line.t1 + step, step)))
 
 
-def _slice_components(node_dist: np.ndarray, delta: float) -> int:
-    near = node_dist < 2.0 * delta
+def tube_components(chart: ManifoldChart, line: LineSegment, delta: float) -> int:
+    """Connected components of the 2*delta cone slice along the line,
+    discretized at step delta/4 (components have length >= delta)."""
+    check_volume_args(delta)
+    near = _distance_grid(chart, line, delta) < 2.0 * delta
     return int(np.count_nonzero(np.diff(near.astype(int)) == 1) + int(near[0]))
 
 
-def _check_tube_args(delta: float, samples: int = 1) -> None:
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples!r}")
-
-
-def tube_components(cone: Cone, line: LineSegment, delta: float) -> int:
-    """Connected components of the 2*delta cone slice along the line,
-    discretized at step delta/4 (components have length >= delta)."""
-    _check_tube_args(delta)
-    return _slice_components(_distance_grid(cone, line, delta), delta)
-
-
 def line_cone_tube_volume(
-    cone: Cone,
+    chart: ManifoldChart,
     line: LineSegment,
     cuts: Cuts,
     delta: float,
@@ -404,14 +370,13 @@ def line_cone_tube_volume(
     a: float | None = None,
 ) -> TubeReport:
     """Monte Carlo volume of (cone delta-neighborhood) intersect (line
-    delta-tube), plus the component count of the 2*delta slice along the
-    line (discretized at step delta/4; true components have length >= delta).
+    delta-tube).
 
-    Both read one distance grid: the cone distance at the nodes of step
-    s = delta/4 along the segment.  A tube sample p whose axial foot is
-    nearest node t_g lies within delta + s/2 of line(t_g), so, the distance
-    to the cone being 1-Lipschitz, p cannot hit (distance < delta) when the
-    node's distance is at least 2*delta + s/2.  The cone distance is
+    The cone distance is first taken at the nodes of step s = delta/4
+    along the segment.  A tube sample p whose axial foot is nearest node
+    t_g lies within delta + s/2 of line(t_g), so, the distance to the cone
+    being 1-Lipschitz, p cannot hit (distance < delta) when the node's
+    distance is at least 2*delta + s/2.  The cone distance is
     computed only for the other samples; the node threshold carries a fixed
     slack `_NODE_SLACK` = 1e-4 against overestimated node distances.
 
@@ -431,7 +396,7 @@ def line_cone_tube_volume(
     a transversality parameter `a` below any of them flags the report
     instead of failing it.
     """
-    _check_tube_args(delta, samples)
+    check_volume_args(delta, samples)
     n = line.base.shape[0]
     ts = rng.uniform(line.t0 - delta, line.t1 + delta, size=samples)
     radial = rng.standard_normal((samples, n - 1))
@@ -442,7 +407,7 @@ def line_cone_tube_volume(
     tt = np.clip(ts, line.t0, line.t1)
     inside = (ts - tt) ** 2 + radius**2 < delta**2
     drawn = int(np.count_nonzero(inside))
-    node_dist = _distance_grid(cone, line, delta)
+    node_dist = _distance_grid(chart, line, delta)
     step = delta / 4.0
     nearest = np.minimum(np.rint((tt - line.t0) / step).astype(int), node_dist.size - 1)
     live = np.flatnonzero(
@@ -455,26 +420,25 @@ def line_cone_tube_volume(
         unit = radial[rows]
         unit /= np.maximum(np.linalg.norm(unit, axis=1, keepdims=True), 1e-300)
         pts = line.point(ts[rows]) + (unit * radius[rows, None]) @ basis
-        hits += int(np.count_nonzero(cone_distance(cone, pts) < delta))
+        hits += int(np.count_nonzero(cone_distance(chart, pts) < delta))
     frac = hits / max(drawn, 1)
     vol_tube = _tube_volume_exact(line, delta)
     volume = frac * vol_tube
     stderr = vol_tube * math.sqrt(max(frac * (1.0 - frac), 0.0) / max(drawn, 1))
-    components = _slice_components(node_dist, delta)
 
     min_angle = math.pi / 2.0
     for q, angle in zip(cuts, cuts.angles, strict=True):
-        if float(np.linalg.norm(q - cone.apex)) >= 10.0 * delta:
+        if float(np.linalg.norm(q)) >= 10.0 * delta:
             min_angle = min(min_angle, angle)
     flag = a is not None and min_angle < a
-    return TubeReport(volume, stderr, hits, drawn, components, min_angle, flag, int(live.size))
+    return TubeReport(volume, stderr, hits, drawn, min_angle, flag, int(live.size))
 
 
 _MAX_TRIES = 50
 
 
 def make_transversal_lines(
-    cone: Cone,
+    chart: ManifoldChart,
     a: float,
     count: int,
     rng: np.random.Generator,
@@ -487,23 +451,23 @@ def make_transversal_lines(
     tries = 0
     while len(out) < count and tries < _MAX_TRIES * count:
         tries += 1
-        x = rng.uniform(0.05, 0.95, size=(2, cone.chart.dim))
+        x = rng.uniform(0.05, 0.95, size=(2, chart.dim))
         r = rng.uniform(0.35, 0.9, size=2)
-        p, q = cone.surface_points(x, r)
+        p, q = r[:, None] * chart.point(x)
         if float(np.linalg.norm(p - q)) < 0.2:
             continue
         line = LineSegment.through(p, q, pad=0.15)
         try:
-            cuts = line_cone_points(cone, line, grid=4000)
+            cuts = line_cone_points(chart, line, grid=4000)
         except GeneratrixError:
             continue
         if not cuts:
             continue
         angles = []
         for c in cuts:
-            if float(np.linalg.norm(c - cone.apex)) < 0.05:
+            if float(np.linalg.norm(c)) < 0.05:
                 break
-            angles.append(tangent_plane_angle(cone, c, line))
+            angles.append(tangent_plane_angle(chart, c, line))
         else:
             if angles and min(angles) >= a:
                 cuts.angles = angles

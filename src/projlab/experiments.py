@@ -20,8 +20,7 @@ import numpy as np
 
 from . import cone as cones
 from . import manifold, projmap, sets
-from .manifold import ManifoldChart, frame_matrices, make_cap_chart, make_perturbed_cap_chart
-from .projmap import CinematicMap
+from .manifold import CapChart, ManifoldChart, PerturbedCapChart, frame_matrices
 from .sets import FractalSet
 from .util import fit_line, rng_stream, sample_ball
 
@@ -159,9 +158,9 @@ def chart_from_params(params: dict) -> ManifoldChart:
     n = int(params.get("n", 3))
     c = float(params.get("c", 0.6))
     if kind == "cap":
-        return make_cap_chart(n, c)
+        return CapChart(n, c)
     if kind == "perturbed-cap":
-        return make_perturbed_cap_chart(
+        return PerturbedCapChart(
             n, c,
             amplitude=float(params.get("amplitude", 0.01)),
             frequency=float(params.get("frequency", 2.0)),
@@ -302,7 +301,7 @@ def run_manifold_info(chart: ManifoldChart, seed: int = 0, samples: int = 1000) 
     rep.record(0.0, "tangent_duality_angle", angle, samples=samples)
     rep.checks["tangent_duality_ok"] = bool(angle <= 1e-7)
     # only an unperturbed cap has its dual at one closed-form height
-    if isinstance(chart, manifold.CapChart):
+    if isinstance(chart, CapChart):
         dual_pts = dual.point(x)
         expected = math.copysign(math.sqrt(1.0 - chart.c * chart.c), chart.c)
         h_err = float(np.abs(dual_pts[:, -1] - expected).max())
@@ -365,16 +364,17 @@ def run_cinematic_check(
     return rep
 
 
-def _aligned_pair(chart: ManifoldChart, rng: np.random.Generator, u: float):
-    """Two centers straddling a cone direction: their graphs meet near x0,
-    so the intersection volume follows the V ~ delta^(2n-3)/d scaling."""
+def _aligned_pair(chart: ManifoldChart, rng: np.random.Generator, u: float) -> np.ndarray:
+    """The displacement w = z' - z of two centers straddling a cone
+    direction: their graphs meet near x0, so the intersection volume follows
+    the V ~ delta^(2n-3)/d scaling."""
     n = chart.n
     x0 = rng.random(chart.dim)
     center = sample_ball(rng, n, 1, 0.2)[0]
     direction = chart.point(x0[None, :])[0]
     z = center - 0.5 * u * direction
     zp = center + 0.5 * u * direction
-    return CinematicMap(chart, z), CinematicMap(chart, zp)
+    return zp - z
 
 
 @_timed
@@ -411,19 +411,19 @@ def run_pair_volume_sweep(
     tally = {"samples": 0, "evaluated": 0, "hits": 0}
     for u in u_ladder:
         for j in range(pairs_per_u):
-            f, g = _aligned_pair(chart, rng_stream(seed, 301, pair_id), u)
-            dc2 = projmap.c2_distance(f, g).value
+            w = _aligned_pair(chart, rng_stream(seed, 301, pair_id), u)
+            dc2 = projmap.c2_distance(chart, w).value
             if dc2 < max_delta:
                 rep.notes.append(f"pair {pair_id} below the separation precondition; skipped")
                 pair_id += 1
                 continue
             for delta in deltas:
                 vol = projmap.pair_intersection_volume(
-                    f, g, delta, samples, rng_stream(seed, 302, pair_id, round(-math.log2(delta)))
+                    chart, w, delta, samples, rng_stream(seed, 302, pair_id, round(-math.log2(delta)))
                 )
                 rep.record(delta, f"pair{pair_id:02d}_volume", vol.value, vol.stderr, vol.samples)
                 tally["samples"] += vol.samples
-                tally["evaluated"] += vol.extra["evaluated"]
+                tally["evaluated"] += vol.evaluated
                 tally["hits"] += vol.hits
                 if vol.hits < min_hits:
                     aborted += 1
@@ -496,7 +496,6 @@ def run_cone_incidence(
     """Tube-volume scaling on transversal secants plus the hard incidence
     caps: never more than 2 intersection points or tube components."""
     n = chart.n
-    cone = cones.Cone(chart, np.zeros(n))
     rep = ExperimentReport(
         "cone-incidence",
         {
@@ -511,7 +510,7 @@ def run_cone_incidence(
         seed,
         tolerances={"slope": tol, "max_points": 2, "max_components": 2},
     )
-    lines = cones.make_transversal_lines(cone, a, sweep_lines, rng_stream(seed, 401))
+    lines = cones.make_transversal_lines(chart, a, sweep_lines, rng_stream(seed, 401))
     slopes = []
     ratios = []
     bad_fit = 0
@@ -525,7 +524,7 @@ def run_cone_incidence(
         empty = False
         for delta in deltas:
             tr = cones.line_cone_tube_volume(
-                cone, line, cuts, delta, samples,
+                chart, line, cuts, delta, samples,
                 rng_stream(seed, 402, i, round(-math.log2(delta))), a=a,
             )
             rep.record(delta, f"line{i:03d}_tube_volume", tr.volume, tr.stderr, tr.samples)
@@ -558,7 +557,7 @@ def run_cone_incidence(
     rep.checks["low_r2_lines"] = bad_fit
     slope_ok = bool(np.all(np.abs(slopes - n) <= tol))
 
-    check = cones.make_transversal_lines(cone, a, check_lines, rng_stream(seed, 403))
+    check = cones.make_transversal_lines(chart, a, check_lines, rng_stream(seed, 403))
     point_violations = 0
     comp_violations = 0
     for j, (line, cuts) in enumerate(check):
@@ -566,7 +565,7 @@ def run_cone_incidence(
         dropped += cuts.dropped
         if len(cuts) > 2:
             point_violations += 1
-        if cones.tube_components(cone, line, component_delta) > 2:
+        if cones.tube_components(chart, line, component_delta) > 2:
             comp_violations += 1
     rep.counters = {f"line_cone_tube_volume.{k}": v for k, v in tally.items()}
     rep.counters["line_cone_points.dropped"] = dropped
@@ -791,9 +790,7 @@ def run_cone_membership_check(
     )
     pts = sets.separate_points(fractal.thin_to_scale(delta), delta)
     rng = rng_stream(seed, 601)
-    grid = manifold._sample_grid(chart.dim, xgrid)
-    B = frame_matrices(chart, grid)
-    cone0 = cones.Cone(chart, np.zeros(chart.n))
+    _, sigma = chart.seed_grid(xgrid)
     qualifying = []
     checked = 0
     batch = 4096
@@ -804,8 +801,10 @@ def run_cone_membership_check(
         keep = i != j
         i, j = i[keep], j[keep]
         w = pts[j] - pts[i]
-        fdiff = np.einsum("gcn,pn->pgc", B, w)
-        mins = np.linalg.norm(fdiff, axis=-1).min(axis=1)
+        # distance from w to the nearest line through a grid point Sigma(x):
+        # |w - (w . Sigma) Sigma|, least where |w . Sigma| is largest
+        along = np.abs(w @ sigma.T).max(axis=1)
+        mins = np.sqrt(np.maximum(np.einsum("pn,pn->p", w, w) - along**2, 0.0))
         hit = np.flatnonzero(mins < 2.0 * delta)
         for h in hit:
             qualifying.append(w[h])
@@ -819,7 +818,7 @@ def run_cone_membership_check(
         rep.notes.append("no near-intersecting pairs found at this scale")
         return rep
     W = np.stack(qualifying, axis=0)
-    dist = cones.cone_distance(cone0, W)
+    dist = cones.cone_distance(chart, W)
     violations = int(np.count_nonzero(dist > 2.0 * delta + tol))
     rep.record(delta, "membership_violations", violations, samples=W.shape[0])
     rep.record(delta, "max_cone_distance", float(dist.max()), samples=W.shape[0])
@@ -827,7 +826,7 @@ def run_cone_membership_check(
     # constructed generatrix pair: exact containment, maps agree at x0
     x0 = rng.random((1, chart.dim))
     w0 = 0.3 * chart.point(x0)[0]
-    rep.checks["constructed_pair_distance"] = float(cones.cone_distance(cone0, w0))
+    rep.checks["constructed_pair_distance"] = float(cones.cone_distance(chart, w0))
     rep.verdict = "pass" if violations == 0 else "fail"
     return rep
 
@@ -879,7 +878,6 @@ def run_incidence_count(
         return rep
     Y = sets.separate_points(fractal.thin_to_scale(delta), delta)
     rep.checks["separated_points"] = int(Y.shape[0])
-    cone0 = cones.Cone(chart, np.zeros(n))
     idx = (np.arange(z_samples, dtype=np.int64) * Y.shape[0]) // z_samples
     k = round(-math.log2(delta))
     radii = [2.0 ** -j for j in range(0, k - 1)]
@@ -892,7 +890,7 @@ def run_incidence_count(
     for m, zi in enumerate(idx):
         z = Y[zi]
         w = np.delete(Y, zi, axis=0) - z
-        dist, foot_params, _ = cone0.nearest(w)
+        dist, foot_params, _ = cones.cone_nearest(chart, w)
         nu = chart.normal(foot_params)
         angle_ok = np.abs(nu @ y) >= sin_gate
         member = dist < 2.0 * delta

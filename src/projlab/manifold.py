@@ -32,8 +32,6 @@ __all__ = [
     "PerturbedCapChart",
     "DualChart",
     "ChartConstants",
-    "make_cap_chart",
-    "make_perturbed_cap_chart",
     "frame_matrices",
     "principal_curvatures",
 ]
@@ -563,14 +561,6 @@ class DualChart(ManifoldChart):
 
     def describe(self):
         return {"kind": self.kind, "n": self.n, "base": self.base.describe()}
-
-
-def make_cap_chart(n: int, c: float) -> CapChart:
-    return CapChart(n, c)
-
-
-def make_perturbed_cap_chart(n: int, c: float, amplitude: float, frequency: float) -> PerturbedCapChart:
-    return PerturbedCapChart(n, c, amplitude, frequency)
 
 
 # ---------------------------------------------------------------------------

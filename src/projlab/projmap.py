@@ -1,10 +1,11 @@
 """Distorted projections onto the moving tangent planes of a chart.
 
 For a chart point Sigma(x) with frame {e_1..e_(n-2), nu}, the map sends a
-displacement z to f_z(x) = (e_1.z, ..., e_(n-2).z, nu.z).  Everything here
-exploits that f_z is linear in z: one grid of frame tensors B, dB, d2B per
-chart serves every map of the family, and differences f_y - f_z equal
-f_(y-z) exactly.
+displacement z to f_z(x) = B(x) z = (e_1.z, ..., e_(n-2).z, nu.z), with B
+from `frame_matrices`.  Everything here exploits that f_z is linear in z:
+one grid of frame tensors B, dB, d2B per chart serves every map of the
+family, and a difference f_y - f_z is the single map f_w at w = y - z, so
+maps enter these functions as their chart and w.
 
 C^0/C^1/C^2 suprema are measured on sample grids and reported together
 with an explicit continuity margin (empirical Lipschitz constant of the
@@ -15,16 +16,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .manifold import ManifoldChart, _fd_hessian, _sample_grid, frame_matrices
-from .util import unit_ball_volume, unit_directions
+from .util import check_volume_args, unit_ball_volume, unit_directions
 
 __all__ = [
-    "CinematicMap",
     "FrameField",
     "C2Distance",
     "MCVolume",
@@ -34,26 +34,6 @@ __all__ = [
     "pair_intersection_volume",
     "survey_family",
 ]
-
-
-class CinematicMap:
-    """One member f_z of the projection family of a chart."""
-
-    def __init__(self, chart: ManifoldChart, z):
-        self.chart = chart
-        self.z = np.asarray(z, dtype=float)
-        if self.z.shape != (chart.n,):
-            raise ValueError(f"displacement must have shape ({chart.n},)")
-
-    def value(self, x) -> np.ndarray:
-        return frame_matrices(self.chart, np.asarray(x, dtype=float)) @ self.z
-
-    __call__ = value
-
-    def gradient(self, x) -> np.ndarray:
-        """(n-1) x (n-2) Jacobian of f_z at x (batched)."""
-        dB = _frame_derivative(self.chart, np.asarray(x, dtype=float))
-        return np.einsum("...ckj,k->...cj", dB, self.z)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +151,11 @@ def _c2_stats(ff: FrameField, W: np.ndarray):
     return vals, sup_v, sup_g, sup_h, slack
 
 
-def c2_distance(f: CinematicMap, g: CinematicMap, per_axis: int | None = None) -> C2Distance:
-    """C^2 distance of two maps of one family, via the single map f_(y-z)."""
-    if f.chart is not g.chart:
-        raise ValueError("c2_distance requires maps over the same chart")
-    ff = _field(f.chart, per_axis)
-    w = (f.z - g.z)[None, :]
-    _, sv, sg, sh, slack = _c2_stats(ff, w)
+def c2_distance(chart: ManifoldChart, w: np.ndarray, per_axis: int | None = None) -> C2Distance:
+    """C^2 distance of two maps f_y, f_z of the chart's family: the C^2 norm
+    of the single map f_w, w = y - z."""
+    ff = _field(chart, per_axis)
+    _, sv, sg, sh, slack = _c2_stats(ff, w[None, :])
     value = float(max(sv[0], sg[0], sh[0]))
     return C2Distance(
         value=value,
@@ -234,8 +212,8 @@ class MCVolume:
     stderr: float
     samples: int
     hits: int
-    low_hits: bool = False
-    extra: dict = field(default_factory=dict)
+    low_hits: bool
+    evaluated: int  # draws whose frame was built
 
 
 def vertical_slab_volume(n: int, delta: float) -> float:
@@ -291,30 +269,24 @@ def _live_cells(ff: FrameField, w: np.ndarray, reach: float) -> np.ndarray:
 
 
 def pair_intersection_volume(
-    f: CinematicMap, g: CinematicMap, delta: float, samples: int, rng: np.random.Generator
+    chart: ManifoldChart, w: np.ndarray, delta: float, samples: int, rng: np.random.Generator
 ) -> MCVolume:
-    """Volume of the intersection of the two vertical delta-slabs.
+    """Volume of the intersection of the vertical delta-slabs of two maps
+    f_z and f_y of the chart's family, w = y - z.
 
     Conditional Monte Carlo (Owen, Monte Carlo theory, methods and examples,
     ch. 8): x is uniform in the cube and the fibre is integrated in closed
-    form.  Over x the slab of f holds the delta-ball around f(x), and the
-    slab of g covers the `_lens_fraction` at |h(x)| / delta of it, h = g - f.
+    form.  Over x the slab of f_z holds the delta-ball around f_z(x), and
+    the slab of f_y covers the `_lens_fraction` at |f_w(x)| / delta of it.
     The estimate is slab_volume * mean fraction over `samples` draws of x;
-    `hits` counts the draws with |h(x)| < 2 delta, the only ones with
+    `hits` counts the draws with |f_w(x)| < 2 delta, the only ones with
     weight.  Frames are built only for draws in the cells of the chart's
-    frame field that `_live_cells` keeps (`extra["evaluated"]`); every
-    other draw has weight exactly 0, so pruning does not change the result.
+    frame field that `_live_cells` keeps (`evaluated`); every other draw
+    has weight exactly 0, so pruning does not change the result.
     """
-    if f.chart is not g.chart:
-        raise ValueError("pair_intersection_volume requires maps over the same chart")
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"pair_intersection_volume needs a finite delta > 0, got {delta!r}")
-    if samples < 1:
-        raise ValueError(f"pair_intersection_volume needs samples >= 1, got {samples!r}")
-    chart = f.chart
+    check_volume_args(delta, samples)
     d, c = chart.dim, chart.n - 1
     slab = vertical_slab_volume(chart.n, delta)
-    w = g.z - f.z
     ff = _field(chart, None)
     live = _live_cells(ff, w, 2.0 * delta)
     cells = (ff.per_axis - 1,) * d
@@ -339,8 +311,7 @@ def pair_intersection_volume(
     mean = total / samples
     sd = math.sqrt(max(total_sq / samples - mean * mean, 0.0))
     out = MCVolume(value=slab * mean, stderr=slab * sd / math.sqrt(samples), samples=samples,
-                   hits=hits, low_hits=hits < 100,
-                   extra={"slab_volume": slab, "evaluated": evaluated})
+                   hits=hits, low_hits=hits < 100, evaluated=evaluated)
     if out.low_hits:
         warnings.warn(
             f"pair_intersection_volume: only {hits} hits at delta={delta:g}; "

@@ -16,6 +16,15 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(key))))
 
 
+def check_volume_args(delta: float, samples: int = 1) -> None:
+    """Raise ValueError unless delta is finite and positive and samples >= 1
+    (the arguments of the Monte Carlo volume estimators)."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
+
+
 def unit_ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 

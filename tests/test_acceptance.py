@@ -13,15 +13,10 @@ import pytest
 
 from projlab import experiments as ex
 from projlab import manifold, sets
-from projlab.manifold import make_cap_chart
+from projlab.manifold import CapChart
 from projlab.util import rng_stream
 
 SEED = 2026
-
-
-@pytest.fixture(scope="module")
-def cap3():
-    return make_cap_chart(3, 0.6)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +35,7 @@ def test_criterion_1_duality_suite():
     ok = True
     for c in (0.3, 0.6, 0.9):
         for n in (3, 4, 5):
-            chart = make_cap_chart(n, c)
+            chart = CapChart(n, c)
             dual = chart.dual()
             x = rng_stream(SEED, n, round(10 * c)).random((1000, chart.dim))
             height_err = float(np.abs(dual.point(x)[:, -1] - math.sqrt(1.0 - c * c)).max())
@@ -80,7 +75,7 @@ def test_criterion_3_pair_volume_scaling(cap3):
     r3 = ex.run_pair_volume_sweep(cap3, SEED)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        r4 = ex.run_pair_volume_sweep(make_cap_chart(4, 0.6), SEED)
+        r4 = ex.run_pair_volume_sweep(CapChart(4, 0.6), SEED)
     elapsed = time.perf_counter() - t0
     ok = (
         r3.verdict == "pass"

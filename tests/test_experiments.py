@@ -25,13 +25,8 @@ from projlab.experiments import (
     run_pair_volume_sweep,
     run_projection_dimension_sweep,
 )
-from projlab.manifold import make_cap_chart, make_perturbed_cap_chart
+from projlab.manifold import CapChart, PerturbedCapChart
 from projlab.sets import build_cantor_dust, product_fractal
-
-
-@pytest.fixture(scope="module")
-def cap3():
-    return make_cap_chart(3, 0.6)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +100,7 @@ def test_low_r2_refusal_branches():
 @pytest.mark.parametrize("kind", ["cap", "perturbed-cap"])
 def test_manifold_info_checks(cap3, kind):
     # a perturbed cap's dual is not at constant height: no such check
-    chart = cap3 if kind == "cap" else make_perturbed_cap_chart(3, 0.6, 0.01, 2.0)
+    chart = cap3 if kind == "cap" else PerturbedCapChart(3, 0.6, 0.01, 2.0)
     rep = run_manifold_info(chart, seed=0, samples=500)
     assert rep.verdict == "pass"
     assert rep.checks["kappa_product_ok"]
@@ -188,7 +183,7 @@ def test_pair_volume_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypatch
     assert len(vols) == 20
     assert meta["counters"] == {
         "pair_intersection_volume.samples": sum(v.samples for v in vols),
-        "pair_intersection_volume.evaluated": sum(v.extra["evaluated"] for v in vols),
+        "pair_intersection_volume.evaluated": sum(v.evaluated for v in vols),
         "pair_intersection_volume.hits": sum(v.hits for v in vols),
     }
 
@@ -383,6 +378,17 @@ def test_membership_insufficient_when_no_pairs_qualify(cap3):
     assert rep.verdict == "insufficient"
     assert rep.checks["pairs_found"] == 0
     assert any("no near-intersecting pairs" in n for n in rep.notes)
+
+
+def test_membership_screen_keeps_only_cone_pairs_at_n4():
+    # the screen measures the distance from w to the line through Sigma(x);
+    # at n = 4 the frame rows are not unit vectors, so |B(x) w| would keep
+    # pairs outside the 2*delta cone neighborhood
+    dust = build_cantor_dust(4, 2, 2**-1.25, 10)
+    rep = run_cone_membership_check(CapChart(4, 0.6), dust, seed=2026, pairs=100, xgrid=33)
+    assert rep.checks["pairs_found"] == 100
+    assert rep.checks["violations"] == 0
+    assert rep.verdict == "pass"
 
 
 def test_incidence_count_on_collapsing_set(cap3, collapsing):

@@ -6,9 +6,8 @@ from projlab.manifold import (
     ChartDomainError,
     DegenerateJacobianError,
     NonConvexityError,
+    PerturbedCapChart,
     frame_matrices,
-    make_cap_chart,
-    make_perturbed_cap_chart,
     principal_curvatures,
 )
 
@@ -19,7 +18,7 @@ def rng(seed=0):
 
 def test_cap_point_on_sphere():
     for n in (3, 4, 5):
-        ch = make_cap_chart(n, 0.6)
+        ch = CapChart(n, 0.6)
         x = rng(1).random((200, ch.dim))
         p = ch.point(x)
         assert np.abs(np.linalg.norm(p, axis=1) - 1.0).max() <= 1e-9
@@ -28,15 +27,15 @@ def test_cap_point_on_sphere():
 
 def test_cap_height_range_rejected():
     with pytest.raises(ValueError):
-        make_cap_chart(3, 1.5)
+        CapChart(3, 1.5)
     with pytest.raises(ValueError):
-        make_cap_chart(3, 0.0)
+        CapChart(3, 0.0)
     with pytest.raises(ValueError):
-        make_cap_chart(3, -1.0)
+        CapChart(3, -1.0)
 
 
 def test_domain_validation():
-    ch = make_cap_chart(3, 0.6)
+    ch = CapChart(3, 0.6)
     with pytest.raises(ChartDomainError):
         ch.point(np.array([[1.7]]))
     with pytest.raises(ChartDomainError):
@@ -44,7 +43,7 @@ def test_domain_validation():
 
 
 def test_normal_is_unit_and_orthogonal():
-    ch = make_cap_chart(3, 0.6)
+    ch = CapChart(3, 0.6)
     x = rng(2).random((300, 1))
     nu = ch.normal(x)
     p = ch.point(x)
@@ -55,14 +54,14 @@ def test_normal_is_unit_and_orthogonal():
 def test_normal_height_is_dual_height():
     # the normal of the cap at height c has constant vertical part sqrt(1-c^2)
     for c in (0.3, 0.6, 0.9):
-        ch = make_cap_chart(3, c)
+        ch = CapChart(3, c)
         x = rng(3).random((100, 1))
         nu = ch.normal(x)
         assert np.abs(nu[..., -1] - np.sqrt(1 - c * c)).max() <= 1e-9
 
 
 def test_normal_lipschitz_bound():
-    ch = make_cap_chart(3, 0.6)
+    ch = CapChart(3, 0.6)
     consts = ch.constants
     bound = (consts.kappa_max * consts.jacobian_scale + 0.1) * 1e-3
     x = rng(4).random((200, 1)) * 0.99
@@ -75,14 +74,14 @@ def test_normal_lipschitz_bound():
 def test_cap_curvature_value():
     # height 0.6 gives radius 0.8 and curvature 0.6/0.8 = 0.75 in every
     # principal direction, for any ambient dimension
-    ch = make_cap_chart(3, 0.6)
+    ch = CapChart(3, 0.6)
     x = np.full((1, 1), 0.5)
     kappa = principal_curvatures(ch, x)
     assert kappa.shape == (1, 1)
     assert abs(kappa[0, 0] - 0.75) <= 1e-9
     assert abs(principal_curvatures(ch.dual(), x)[0, 0] - 4.0 / 3.0) <= 1e-9
 
-    ch5 = make_cap_chart(5, 0.6)
+    ch5 = CapChart(5, 0.6)
     x = rng(5).random((100, 3))
     kap = principal_curvatures(ch5, x)
     assert kap.shape == (100, 3)
@@ -90,8 +89,8 @@ def test_cap_curvature_value():
 
 
 def test_perturbed_zero_amplitude_matches_cap():
-    ch = make_cap_chart(3, 0.6)
-    pz = make_perturbed_cap_chart(3, 0.6, amplitude=0.0, frequency=2.0)
+    ch = CapChart(3, 0.6)
+    pz = PerturbedCapChart(3, 0.6, amplitude=0.0, frequency=2.0)
     x = rng(6).random((50, 1))
     assert np.abs(ch.point(x) - pz.point(x)).max() <= 1e-12
     ka = principal_curvatures(ch, x)
@@ -100,7 +99,7 @@ def test_perturbed_zero_amplitude_matches_cap():
 
 
 def test_perturbed_amplitude_keeps_convexity():
-    pz = make_perturbed_cap_chart(3, 0.6, amplitude=0.01, frequency=2.0)
+    pz = PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0)
     x = rng(7).random((100, 1))
     kap = principal_curvatures(pz, x)
     assert kap.min() > 0
@@ -108,7 +107,7 @@ def test_perturbed_amplitude_keeps_convexity():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_perturbed_jacobian_makes_four_point_calls_per_axis(n):
-    pz = make_perturbed_cap_chart(n, 0.6, amplitude=0.01, frequency=1.0)
+    pz = PerturbedCapChart(n, 0.6, amplitude=0.01, frequency=1.0)
     calls = []
     point = pz.point
 
@@ -124,13 +123,13 @@ def test_perturbed_jacobian_makes_four_point_calls_per_axis(n):
 
 def test_perturbed_large_amplitude_rejected():
     with pytest.raises(NonConvexityError):
-        make_perturbed_cap_chart(3, 0.6, amplitude=0.4, frequency=6.0)
+        PerturbedCapChart(3, 0.6, amplitude=0.4, frequency=6.0)
 
 
 def test_dual_image_height():
     # duality sends the height-c cross-section to the height sqrt(1-c^2) one
     for c in (0.3, 0.6, 0.9):
-        ch = make_cap_chart(3, c)
+        ch = CapChart(3, c)
         du = ch.dual()
         x = rng(8).random((100, 1))
         h = du.point(x)[:, -1]
@@ -138,7 +137,7 @@ def test_dual_image_height():
 
 
 def test_dual_involution():
-    ch = make_cap_chart(3, 0.6)
+    ch = CapChart(3, 0.6)
     dd = ch.dual().dual()
     x = rng(9).random((100, 1))
     assert np.abs(dd.point(x)[:, -1] - 0.6).max() <= 1e-8
@@ -149,7 +148,7 @@ def test_dual_involution():
 
 def test_dual_curvature_product():
     for n in (3, 4, 5):
-        ch = make_cap_chart(n, 0.6)
+        ch = CapChart(n, 0.6)
         du = ch.dual()
         x = rng(10).random((200, ch.dim))
         prod = principal_curvatures(ch, x) * principal_curvatures(du, x)
@@ -159,7 +158,7 @@ def test_dual_curvature_product():
 def test_tangent_space_duality():
     # tangent planes of the chart and its dual agree at matching parameters
     for n in (3, 4, 5):
-        ch = make_cap_chart(n, 0.6)
+        ch = CapChart(n, 0.6)
         du = ch.dual()
         x = rng(11).random((100, ch.dim))
         d = ch.dim
@@ -170,7 +169,7 @@ def test_tangent_space_duality():
 
 
 def test_frame_orthogonality_and_conditioning():
-    ch = make_cap_chart(4, 0.6)
+    ch = CapChart(4, 0.6)
     x = np.array([[0.3, 0.7]])
     p = ch.point(x)[0]
     B = frame_matrices(ch, x)[0]
@@ -188,7 +187,7 @@ def test_frame_orthogonality_and_conditioning():
 def test_second_fundamental_bounds():
     # the largest curvature of the chart and the smallest of its dual are
     # kappa_max and 1/kappa_max; for a cap both are attained everywhere
-    ch = make_cap_chart(3, 0.6)
+    ch = CapChart(3, 0.6)
     x = rng(7).random((2000, ch.dim))
     assert abs(principal_curvatures(ch, x).max() - 0.75) <= 1e-6
     assert abs(principal_curvatures(ch.dual(), x).min() - 4.0 / 3.0) <= 1e-6
@@ -196,7 +195,7 @@ def test_second_fundamental_bounds():
 
 def test_second_fundamental_quadratic_scaling():
     # the form nu . (u^T H u) is bilinear, so doubling u multiplies it by 4
-    ch = make_cap_chart(4, 0.6)
+    ch = CapChart(4, 0.6)
     x = np.array([[0.4, 0.6]])
     H = ch.hessian(x)
     nu = ch.normal(x)
@@ -206,7 +205,7 @@ def test_second_fundamental_quadratic_scaling():
 
 
 def test_second_fundamental_quotients_match_curvature():
-    ch = make_cap_chart(4, 0.6)
+    ch = CapChart(4, 0.6)
     x = np.array([[0.4, 0.6], [0.1, 0.9]])
     kappa = principal_curvatures(ch, x)
     assert np.abs(kappa[:, 0] - 0.75).max() <= 1e-7
@@ -214,17 +213,17 @@ def test_second_fundamental_quotients_match_curvature():
 
 
 def test_perturbed_bounds_near_cap():
-    base = make_cap_chart(3, 0.6).constants
-    bumped = make_perturbed_cap_chart(3, 0.6, amplitude=0.01, frequency=2.0).constants
+    base = CapChart(3, 0.6).constants
+    bumped = PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0).constants
     assert abs(bumped.kappa_max / base.kappa_max - 1.0) <= 0.1
     assert abs(bumped.kappa_min / base.kappa_min - 1.0) <= 0.1
 
 
 def test_sectional_curvature_hypothesis():
     for n in (4, 5):
-        ch = make_cap_chart(n, 0.6)
+        ch = CapChart(n, 0.6)
         assert ch.constants.sectional_min > 1.0
-    ch3 = make_cap_chart(3, 0.6)
+    ch3 = CapChart(3, 0.6)
     assert ch3.constants.kappa_min > 0
 
 

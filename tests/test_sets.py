@@ -16,7 +16,7 @@ from projlab.sets import (
     separate_points,
     spread_delta_s_set,
 )
-from projlab.manifold import frame_matrices, make_cap_chart
+from projlab.manifold import CapChart, frame_matrices
 from projlab.sets import _dyadic_cells, _morton_keys, _piece_rows
 from projlab.util import rng_stream
 
@@ -294,7 +294,7 @@ def test_dimension_estimates_track_similarity_dimension():
 
 def projected_images(fr, count, seed):
     """Images of a dust under the frames of the n = 3 cap at random x."""
-    cap = make_cap_chart(3, 0.6)
+    cap = CapChart(3, 0.6)
     B = frame_matrices(cap, rng_stream(seed, 0).random((count, cap.dim)))
     return [fr.points @ b.T for b in B]
 
