@@ -764,6 +764,13 @@ def run_exceptional_set_survey(
     return rep
 
 
+# Floats per block of pair-by-node dot products in `run_cone_membership_check`
+# (16 MiB, twice that with its absolute value): at n = 4 the default
+# 129-per-axis grid has 16,641 nodes, and a whole 4,096-pair batch would
+# take 545 MB.  The maximum is per pair, so blocking changes no number.
+_SCREEN_BLOCK = 2**21
+
+
 @_timed
 def run_cone_membership_check(
     chart: ManifoldChart,
@@ -791,6 +798,8 @@ def run_cone_membership_check(
     pts = sets.separate_points(fractal.thin_to_scale(delta), delta)
     rng = rng_stream(seed, 601)
     _, sigma = chart.seed_grid(xgrid)
+    # pairs per dot-product block: at most _SCREEN_BLOCK floats at a time
+    rows = max(1, _SCREEN_BLOCK // sigma.shape[0])
     qualifying = []
     checked = 0
     batch = 4096
@@ -803,7 +812,8 @@ def run_cone_membership_check(
         w = pts[j] - pts[i]
         # distance from w to the nearest line through a grid point Sigma(x):
         # |w - (w . Sigma) Sigma|, least where |w . Sigma| is largest
-        along = np.abs(w @ sigma.T).max(axis=1)
+        along = np.concatenate([np.abs(w[k : k + rows] @ sigma.T).max(axis=1)
+                                for k in range(0, w.shape[0], rows)])
         mins = np.sqrt(np.maximum(np.einsum("pn,pn->p", w, w) - along**2, 0.0))
         hit = np.flatnonzero(mins < 2.0 * delta)
         for h in hit:

@@ -318,10 +318,25 @@ class ManifoldChart:
             live = live[~done]
         return x, np.clip(val, -1.0, 1.0), converged
 
+    @cached_property
+    def _jacobian_bounds(self) -> tuple[float, float]:
+        """Largest and smallest Jacobian singular value over the sample set
+        of the global constants."""
+        hi, lo = 0.0, math.inf
+        for x in _constant_samples(self.dim):
+            sv = np.linalg.svd(self.jacobian(x), compute_uv=False)
+            hi = max(hi, float(np.max(sv[:, 0])))
+            lo = min(lo, float(np.min(sv[:, -1])))
+            if lo < _DEGENERATE_TOL:
+                raise DegenerateJacobianError(
+                    f"chart Jacobian degenerates on the sample set (min sv {lo:.3e})"
+                )
+        return hi, lo
+
     @property
     def m_sigma(self) -> float:
         """Global Jacobian scale used to normalize tangent frame vectors."""
-        return self.constants.jacobian_scale
+        return self._jacobian_bounds[0]
 
     def dual(self) -> "ManifoldChart":
         return DualChart(self)
@@ -627,26 +642,24 @@ class ChartConstants:
     samples: int
 
 
+def _constant_samples(d: int) -> list[np.ndarray]:
+    """The sample set of a chart's global constants in blocks of 32,768 rows:
+    the 64-per-axis grid, then 10,000 seeded uniform draws."""
+    xs = np.concatenate([_sample_grid(d, 64), np.random.default_rng(2024).random((10_000, d))])
+    return [xs[start : start + 32_768] for start in range(0, xs.shape[0], 32_768)]
+
+
 def _estimate_constants(chart: ManifoldChart) -> ChartConstants:
     d = chart.dim
-    xs = np.concatenate([_sample_grid(d, 64), np.random.default_rng(2024).random((10_000, d))])
-    j_scale = 0.0
-    j_floor = math.inf
+    # first, so a singular Gram raises before principal_curvatures' Cholesky
+    j_scale, j_floor = chart._jacobian_bounds
+    blocks = _constant_samples(d)
     k_lo, k_hi = math.inf, -math.inf
     sec_min = math.inf
     gamma_max = 0.0
-    for start in range(0, xs.shape[0], 32_768):
-        x = xs[start : start + 32_768]
+    for x in blocks:
         J = chart.jacobian(x)
         H = chart.hessian(x)
-        sv = np.linalg.svd(J, compute_uv=False)
-        j_scale = max(j_scale, float(np.max(sv[:, 0])))
-        j_floor = min(j_floor, float(np.min(sv[:, -1])))
-        # before principal_curvatures, whose Cholesky fails on a singular Gram
-        if j_floor < _DEGENERATE_TOL:
-            raise DegenerateJacobianError(
-                f"chart Jacobian degenerates on the sample set (min sv {j_floor:.3e})"
-            )
         kappa = principal_curvatures(chart, x)
         k_lo = min(k_lo, float(np.min(kappa)))
         k_hi = max(k_hi, float(np.max(kappa)))
@@ -664,8 +677,7 @@ def _estimate_constants(chart: ManifoldChart) -> ChartConstants:
         raise NonConvexityError("chart has nonpositive principal curvature samples")
     # second pass for the frame conditioning (needs the final jacobian scale)
     cond = math.inf
-    for start in range(0, xs.shape[0], 32_768):
-        x = xs[start : start + 32_768]
+    for x in blocks:
         p = chart.point(x)
         J = chart.jacobian(x)
         nu = chart.normal(x)
@@ -687,7 +699,7 @@ def _estimate_constants(chart: ManifoldChart) -> ChartConstants:
         frame_conditioning=cond,
         christoffel_bound=gamma_max,
         coeff_margin=coeff_margin,
-        samples=xs.shape[0],
+        samples=sum(x.shape[0] for x in blocks),
     )
 
 

@@ -278,11 +278,18 @@ def pair_intersection_volume(
     ch. 8): x is uniform in the cube and the fibre is integrated in closed
     form.  Over x the slab of f_z holds the delta-ball around f_z(x), and
     the slab of f_y covers the `_lens_fraction` at |f_w(x)| / delta of it.
-    The estimate is slab_volume * mean fraction over `samples` draws of x;
-    `hits` counts the draws with |f_w(x)| < 2 delta, the only ones with
-    weight.  Frames are built only for draws in the cells of the chart's
-    frame field that `_live_cells` keeps (`evaluated`); every other draw
-    has weight exactly 0, so pruning does not change the result.
+    The estimate is slab_volume * mean fraction over `samples` uniform
+    draws of x; `hits` counts the draws with |f_w(x)| < 2 delta, the only
+    ones with weight.
+
+    Only the draws that land in the cells `_live_cells` keeps are made: a
+    draw anywhere else has weight exactly 0.  The cells of the frame
+    field's grid have equal volume, so the number of the `samples` uniform
+    draws that land in live ones is Binomial(samples, live share), and given
+    that number they are iid uniform on the live cells.  The estimator draws
+    the number, then for each draw a live cell and a uniform point in it
+    (binomial thinning, Owen ch. 9), so value, stderr, hits and `evaluated`
+    (the draws given a frame) have the law of drawing all `samples`.
     """
     check_volume_args(delta, samples)
     d, c = chart.dim, chart.n - 1
@@ -290,24 +297,21 @@ def pair_intersection_volume(
     ff = _field(chart, None)
     live = _live_cells(ff, w, 2.0 * delta)
     cells = (ff.per_axis - 1,) * d
+    ids = np.flatnonzero(live)
+    evaluated = int(rng.binomial(samples, ids.size / live.size)) if ids.size else 0
     total = total_sq = 0.0
-    hits = evaluated = 0
-    chunk = 262_144
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        x = rng.random((m, d))
-        # row-major like `_live_cells`; "clip" keeps an x * cells that
-        # rounds up to the cell count in the last cell
-        cell = (x * cells).astype(np.intp)
-        x = x[live[np.ravel_multi_index(tuple(cell.T), cells, mode="clip")]]
+    hits = 0
+    chunk = 32_768  # rows per frame batch, which bounds its memory
+    for done in range(0, evaluated, chunk):
+        m = min(chunk, evaluated - done)
+        # row-major cell ids, like `_live_cells`
+        cell = np.unravel_index(ids[rng.integers(0, ids.size, m)], cells)
+        x = (np.stack(cell, axis=-1) + rng.random((m, d))) / cells
         t = np.linalg.norm(frame_matrices(chart, x) @ w, axis=-1) / delta
         weight = _lens_fraction(t, c)
         hits += int(np.count_nonzero(t < 2.0))
         total += float(weight.sum())
         total_sq += float(weight @ weight)
-        evaluated += x.shape[0]
-        done += m
     mean = total / samples
     sd = math.sqrt(max(total_sq / samples - mean * mean, 0.0))
     out = MCVolume(value=slab * mean, stderr=slab * sd / math.sqrt(samples), samples=samples,

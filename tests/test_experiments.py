@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 from datetime import datetime
 
@@ -389,6 +390,22 @@ def test_membership_screen_keeps_only_cone_pairs_at_n4():
     assert rep.checks["pairs_found"] == 100
     assert rep.checks["violations"] == 0
     assert rep.verdict == "pass"
+
+
+def test_membership_screen_memory_is_bounded_at_n4():
+    # the default grid has 16,641 nodes at n = 4: one 4,096-pair batch of
+    # dot products with all of them is 545 MB
+    chart = CapChart(4, 0.6)
+    chart.seed_grid(129)
+    dust = build_cantor_dust(4, 2, 2**-1.25, 10)
+    tracemalloc.start()
+    try:
+        rep = run_cone_membership_check(chart, dust, seed=2026, pairs=100, xgrid=129)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.checks["pairs_found"] == 100
+    assert peak < 64 * 2**20
 
 
 def test_incidence_count_on_collapsing_set(cap3, collapsing):

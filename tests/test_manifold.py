@@ -227,6 +227,15 @@ def test_sectional_curvature_hypothesis():
     assert ch3.constants.kappa_min > 0
 
 
+def test_frames_leave_the_chart_constants_unfilled():
+    # the frame scale is a Jacobian pass of its own; curvatures, Christoffel
+    # symbols and the frame conditioning are left for `constants`
+    ch = CapChart(4, 0.6)
+    frame_matrices(ch, rng(2).random((5, ch.dim)))
+    assert "constants" not in ch.__dict__
+    assert ch.m_sigma == ch.constants.jacobian_scale
+
+
 def test_degenerate_jacobian_detected():
     class Collapsed(CapChart):
         def jacobian(self, x):

@@ -286,9 +286,21 @@ def test_map_gradient_matches_the_frame_field(cap3, n):
 
 
 def test_pair_volume_of_identical_maps_is_the_slab(cap3):
+    # w = 0: every cell is live, so every draw is made and has weight 1
     mv = pair_intersection_volume(cap3, np.zeros(3), 2.0**-5, 100_000, np.random.default_rng(8))
     assert mv.value == pytest.approx(vertical_slab_volume(3, 2.0**-5), rel=1e-12)
-    assert mv.hits == mv.samples
+    assert mv.evaluated == mv.hits == mv.samples
+
+
+def test_pair_volume_without_live_cells_draws_nothing(cap3):
+    w = np.array([0.4, 0.0, 0.0])
+    delta = 2.0**-10
+    assert not projmap._live_cells(projmap._field(cap3, None), w, 2.0 * delta).any()
+    with pytest.warns(UserWarning, match="only 0 hits"):
+        mv = pair_intersection_volume(cap3, w, delta, 10_000, np.random.default_rng(3))
+    assert mv.evaluated == mv.hits == 0
+    assert mv.value == 0.0
+    assert mv.low_hits
 
 
 def _aligned_pair(chart, distance):
@@ -356,15 +368,14 @@ def test_lens_fraction_is_accurate_near_zero_and_matches_betainc():
         assert _lens_fraction(rim, c).min() >= 0.0
 
 
-def _unpruned_volume(chart, w, delta, samples, rng):
-    """The conditional estimator with a frame for every draw of x."""
-    t = []
+def _unpruned_draws(chart, w, delta, samples, rng):
+    """Uniform draws of x over the whole cube and their t = |f_w(x)| / delta."""
+    xs, ts = [], []
     for start in range(0, samples, 262_144):
         x = rng.random((min(262_144, samples - start), chart.dim))
-        t.append(np.linalg.norm(frame_matrices(chart, x) @ w, axis=-1) / delta)
-    t = np.concatenate(t)
-    value = vertical_slab_volume(chart.n, delta) * _lens_fraction(t, chart.n - 1).mean()
-    return value, int(np.count_nonzero(t < 2.0))
+        xs.append(x)
+        ts.append(np.linalg.norm(frame_matrices(chart, x) @ w, axis=-1) / delta)
+    return np.concatenate(xs), np.concatenate(ts)
 
 
 # two chunks of draws on the caps; one on the perturbed cap, whose
@@ -374,19 +385,34 @@ def _unpruned_volume(chart, w, delta, samples, rng):
     (CapChart(4, 0.6), 300_000),
     (PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0), 30_000),
 ], ids=["cap3", "cap4", "perturbed3"])
-def test_pruned_frames_leave_the_estimate_unchanged(chart, samples):
+def test_thinned_draws_keep_the_estimate(chart, samples):
+    ff = projmap._field(chart, None)
+    cells = (ff.per_axis - 1,) * chart.dim
     evaluated = drawn = 0
+    expected = variance = 0.0
     for i, u in enumerate((0.5, 0.25, 0.125, 0.0625, 0.03125)):
         w = _driver_pair(chart, rng_stream(5, i), u)
-        for delta in (2.0**-8, 2.0**-11):
+        for k, delta in enumerate((2.0**-8, 2.0**-11)):
+            live = projmap._live_cells(ff, w, 2.0 * delta)
+            # the cut is sound: a draw in a dead cell has no weight
+            x, t = _unpruned_draws(chart, w, delta, samples, rng_stream(7, i, k))
+            cell = np.minimum((x * cells).astype(np.intp), ff.per_axis - 2)
+            dead = ~live[np.ravel_multi_index(tuple(cell.T), cells)]
+            assert np.all(t[dead] >= 2.0)
+            weight = _lens_fraction(t, chart.n - 1)
+            # the law holds: thinned draws estimate what all draws estimate
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                mv = pair_intersection_volume(chart, w, delta, samples, rng_stream(6, i))
-            value, hits = _unpruned_volume(chart, w, delta, samples, rng_stream(6, i))
-            assert mv.hits == hits
-            assert mv.value == pytest.approx(value, rel=1e-12, abs=0.0)
+                mv = pair_intersection_volume(chart, w, delta, samples, rng_stream(6, i, k))
+            slab = vertical_slab_volume(chart.n, delta)
+            ref, ref_se = slab * weight.mean(), slab * weight.std() / math.sqrt(samples)
+            assert abs(mv.value - ref) <= 4.0 * math.hypot(mv.stderr, ref_se)
+            p = live.mean()
+            expected += samples * p
+            variance += samples * p * (1.0 - p)
             evaluated += mv.evaluated
             drawn += mv.samples
+    assert abs(evaluated - expected) <= 5.0 * math.sqrt(variance)
     assert evaluated < 0.5 * drawn
 
 
