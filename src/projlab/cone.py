@@ -314,6 +314,7 @@ class TubeReport:
     min_tangent_angle: float
     angle_flag: bool
     evaluated: int  # samples whose cone distance was computed
+    certified_hits: int  # hits decided by the node bracket, without a cone distance
 
 
 def _complement_basis(u: np.ndarray) -> np.ndarray:
@@ -330,11 +331,12 @@ def _tube_volume_exact(line: LineSegment, delta: float) -> float:
     return cyl + caps
 
 
-# Slack added to the node threshold of the tube pruning rule.  A computed
-# cone distance is the distance to an actual cone point, so it can only
-# overestimate, and an overestimate at a grid node could rule out a real hit.
-# The overestimate is about |p| times the error in the sine of the angle to
-# the cross-section.  The nodes that matter lie within 1 + 3*delta of the
+# Slack added to the node threshold of the tube pruning rule and to both
+# bounds of the per-sample bracket.  A computed cone distance is the
+# distance to an actual cone point, so it can only overestimate, and an
+# overestimate at a grid node could rule out a real hit.  The
+# overestimate is about |p| times the error in the sine of the angle to the
+# cross-section.  The nodes that matter lie within 1 + 3*delta of the
 # apex (the cone lies in the unit ball around it).  The largest sine
 # error `nearest_direction` was measured to make is 3.2e-16: on caps and
 # perturbed caps at n = 3 and n = 4 (40,000 and 8,000 random points),
@@ -345,19 +347,46 @@ def _tube_volume_exact(line: LineSegment, delta: float) -> float:
 _NODE_SLACK = 1e-4
 
 
-def _distance_grid(chart: ManifoldChart, line: LineSegment, delta: float) -> np.ndarray:
-    """The cone distance at the nodes t0, t0 + s, ... (s = delta/4, covering
-    [t0, t1]) along the segment."""
+def _distance_grid(chart: ManifoldChart, line: LineSegment, delta: float):
+    """The nodes t0, t0 + s, ... (s = delta/4, covering [t0, t1]) along the
+    segment and the cone distance at each."""
     step = delta / 4.0
-    return cone_distance(chart, line.point(np.arange(line.t0, line.t1 + step, step)))
+    nodes = np.arange(line.t0, line.t1 + step, step)
+    return nodes, cone_distance(chart, line.point(nodes))
 
 
 def tube_components(chart: ManifoldChart, line: LineSegment, delta: float) -> int:
     """Connected components of the 2*delta cone slice along the line,
     discretized at step delta/4 (components have length >= delta)."""
     check_volume_args(delta)
-    near = _distance_grid(chart, line, delta) < 2.0 * delta
+    near = _distance_grid(chart, line, delta)[1] < 2.0 * delta
     return int(np.count_nonzero(np.diff(near.astype(int)) == 1) + int(near[0]))
+
+
+def _tube_nodes(chart: ManifoldChart, line: LineSegment, delta: float):
+    """The `_distance_grid` nodes that own axial intervals of the tube, their
+    cone distances, the interval edges and which nodes are live.
+
+    Node g owns [edges[g], edges[g + 1]): the draws whose clamped foot
+    rounds to it.  A tube sample there lies within delta + s/2 of line(t_g),
+    so it cannot hit unless the node is live: its distance is below
+    2*delta + s/2 (plus `_NODE_SLACK`).
+    """
+    step = delta / 4.0
+    nodes, node_dist = _distance_grid(chart, line, delta)
+    last = min(int(np.rint(line.length / step)), nodes.size - 1)
+    nodes, node_dist = nodes[: last + 1], node_dist[: last + 1]
+    edges = np.concatenate([[line.t0 - delta], 0.5 * (nodes[:-1] + nodes[1:]),
+                            [line.t1 + delta]])
+    return nodes, node_dist, edges, node_dist < 2.0 * delta + 0.5 * step + _NODE_SLACK
+
+
+def _bracket(near: np.ndarray, rho: np.ndarray, delta: float):
+    """(sure hit, undecided) masks of samples at distance rho from a node
+    whose cone distance is `near`; the rest surely miss.  The cone distance
+    is 1-Lipschitz, so a sample's lies within rho of the node's."""
+    sure = near + rho < delta - _NODE_SLACK
+    return sure, ~sure & (near - rho < delta + _NODE_SLACK)
 
 
 def line_cone_tube_volume(
@@ -372,24 +401,26 @@ def line_cone_tube_volume(
     """Monte Carlo volume of (cone delta-neighborhood) intersect (line
     delta-tube).
 
-    The cone distance is first taken at the nodes of step s = delta/4
-    along the segment.  A tube sample p whose axial foot is nearest node
-    t_g lies within delta + s/2 of line(t_g), so, the distance to the cone
-    being 1-Lipschitz, p cannot hit (distance < delta) when the node's
-    distance is at least 2*delta + s/2.  The cone distance is
-    computed only for the other samples; the node threshold carries a fixed
-    slack `_NODE_SLACK` = 1e-4 against overestimated node distances.
-
-    A sample is drawn as an axial parameter ts in [t0 - delta, t1 + delta]
+    A sample is an axial parameter ts uniform in [t0 - delta, t1 + delta]
     and a radial offset of length `radius` orthogonal to the direction, so
-    its foot is clip(ts, t0, t1) and its squared distance to the segment is
-    (ts - foot)**2 + radius**2.  The end-cap test and the nearest node are
-    read from the draws; the point itself is built only for the samples the
-    node bound cannot rule out.  Every sample is still drawn and tested, so
-    `samples` counts the draws inside the tube and `hits` equals the count
-    over all of them; `evaluated` says how many cone distances were
-    computed.  Raises ValueError unless delta is finite and positive and
-    samples >= 1.
+    its foot is clip(ts, t0, t1); it lies in the tube (spherical end caps)
+    when (ts - foot)**2 + radius**2 < delta**2, and `samples` counts those.
+    The cone distance is first taken at the nodes t_g of step s = delta/4
+    along the segment (`_tube_nodes`).  A sample in the axial interval of a
+    dead node cannot hit, so only draws in live intervals are made
+    (binomial thinning; Owen, Monte Carlo theory, methods and examples,
+    ch. 8-9): `samples` draws split Multinomial over the live intervals,
+    the dead ones inside [t0, t1] (all in the tube) and the dead end
+    regions, where a draw is in the tube with probability
+    q = V_n / (2 V_(n-1)).  Live draws are uniform on their intervals.
+    Each lies at rho = sqrt((ts - t_g)**2 + radius**2) from line(t_g), and
+    `_bracket` decides it from the node distance and rho alone where it
+    can; the cone distance is computed only for the rest.  So volume,
+    stderr, `hits` and `samples` have the law of drawing all `samples`;
+    `certified_hits` counts the hits the bracket decided and `evaluated`
+    the cone distances computed.  Both bounds carry the slack
+    `_NODE_SLACK` = 1e-4 against misestimated distances.  Raises
+    ValueError unless delta is finite and positive and samples >= 1.
 
     Tangent angles are read from `cuts.angles` (the cuts and angles of
     `make_transversal_lines`) at the cuts at least 10*delta from the apex;
@@ -398,25 +429,37 @@ def line_cone_tube_volume(
     """
     check_volume_args(delta, samples)
     n = line.base.shape[0]
-    ts = rng.uniform(line.t0 - delta, line.t1 + delta, size=samples)
-    radial = rng.standard_normal((samples, n - 1))
-    radius = delta * rng.uniform(0.0, 1.0, size=samples) ** (1.0 / (n - 1))
+    nodes, node_dist, edges, live = _tube_nodes(chart, line, delta)
+    lo, hi = edges[:-1], edges[1:]
+    interior = np.clip(hi, line.t0, line.t1) - np.clip(lo, line.t0, line.t1)
+    shares = np.array([(hi - lo)[live].sum(), interior[~live].sum(),
+                       (hi - lo - interior)[~live].sum()])
+    drawn_live, dead, dead_cap = rng.multinomial(samples, shares / shares.sum())
+    # a draw in an end region is in the tube with the half-ball's share
+    cap_share = unit_ball_volume(n) / (2.0 * unit_ball_volume(n - 1))
+    drawn = int(dead) + int(rng.binomial(dead_cap, cap_share))
+    owner = np.flatnonzero(live)
+    width = (hi - lo)[owner]
+    start = np.cumsum(width) - width
+    u = rng.uniform(0.0, start[-1] + width[-1], size=drawn_live) if drawn_live else np.empty(0)
+    k = np.searchsorted(start, u, side="right") - 1
+    g = owner[k]
+    ts = np.minimum(lo[g] + (u - start[k]), hi[g])
+    radial = rng.standard_normal((drawn_live, n - 1))
+    radius = delta * rng.uniform(0.0, 1.0, size=drawn_live) ** (1.0 / (n - 1))
     # the complement basis is orthonormal and orthogonal to the direction,
-    # so a draw's axial foot is its clamped ts; keep the draws inside the
-    # segment tube (spherical end caps)
+    # so a draw's axial foot is its clamped ts
     tt = np.clip(ts, line.t0, line.t1)
     inside = (ts - tt) ** 2 + radius**2 < delta**2
-    drawn = int(np.count_nonzero(inside))
-    node_dist = _distance_grid(chart, line, delta)
-    step = delta / 4.0
-    nearest = np.minimum(np.rint((tt - line.t0) / step).astype(int), node_dist.size - 1)
-    live = np.flatnonzero(
-        inside & (node_dist[nearest] < 2.0 * delta + 0.5 * step + _NODE_SLACK))
+    drawn += int(np.count_nonzero(inside))
+    sure, undecided = _bracket(node_dist[g], np.hypot(ts - nodes[g], radius), delta)
+    evaluate = np.flatnonzero(inside & undecided)
+    certified = int(np.count_nonzero(inside & sure))
+    hits = certified
     basis = _complement_basis(line.direction)
-    hits = 0
     chunk = 262_144
-    for i in range(0, live.size, chunk):
-        rows = live[i : i + chunk]
+    for i in range(0, evaluate.size, chunk):
+        rows = evaluate[i : i + chunk]
         unit = radial[rows]
         unit /= np.maximum(np.linalg.norm(unit, axis=1, keepdims=True), 1e-300)
         pts = line.point(ts[rows]) + (unit * radius[rows, None]) @ basis
@@ -431,7 +474,7 @@ def line_cone_tube_volume(
         if float(np.linalg.norm(q)) >= 10.0 * delta:
             min_angle = min(min_angle, angle)
     flag = a is not None and min_angle < a
-    return TubeReport(volume, stderr, hits, drawn, min_angle, flag, int(live.size))
+    return TubeReport(volume, stderr, hits, drawn, min_angle, flag, int(evaluate.size), certified)
 
 
 _MAX_TRIES = 50

@@ -515,7 +515,8 @@ def run_cone_incidence(
     ratios = []
     bad_fit = 0
     empty_lines = 0
-    tally = {"samples": 0, "evaluated": 0, "hits": 0}
+    tally = {"samples": 0, "evaluated": 0, "hits": 0, "certified_hits": 0}
+    min_hits = None
     dropped = 0
     for i, (line, cuts) in enumerate(lines):
         _note_dropped_roots(rep, f"line {i}", cuts)
@@ -531,6 +532,8 @@ def run_cone_incidence(
             tally["samples"] += tr.samples
             tally["evaluated"] += tr.evaluated
             tally["hits"] += tr.hits
+            tally["certified_hits"] += tr.certified_hits
+            min_hits = tr.hits if min_hits is None else min(min_hits, tr.hits)
             vols.append(tr.volume)
             if tr.hits == 0:
                 # log2 of a zero volume would turn the line's slope into NaN
@@ -551,7 +554,10 @@ def run_cone_incidence(
     fitted = slopes.size > 0
     rep.fits["slope_min"] = float(slopes.min()) if fitted else None
     rep.fits["slope_max"] = float(slopes.max()) if fitted else None
-    rep.fits["slope_median"] = float(np.median(slopes)) if fitted else None
+    # the np.median value, without the numpy.ma import of its first call
+    ordered, half = sorted(slopes.tolist()), slopes.size // 2
+    rep.fits["slope_median"] = (None if not fitted else ordered[half] if slopes.size % 2
+                                else (ordered[half - 1] + ordered[half]) / 2)
     rep.fits["constant_lo"] = float(min(ratios)) if fitted else None
     rep.fits["constant_hi"] = float(max(ratios)) if fitted else None
     rep.checks["low_r2_lines"] = bad_fit
@@ -568,6 +574,7 @@ def run_cone_incidence(
         if cones.tube_components(chart, line, component_delta) > 2:
             comp_violations += 1
     rep.counters = {f"line_cone_tube_volume.{k}": v for k, v in tally.items()}
+    rep.counters["line_cone_tube_volume.min_hits"] = min_hits
     rep.counters["line_cone_points.dropped"] = dropped
     rep.checks["point_violations"] = point_violations
     rep.checks["component_violations"] = comp_violations

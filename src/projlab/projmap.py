@@ -71,6 +71,19 @@ class FrameField:
         self.B = frame_matrices(chart, self.x)
         self.dB = _frame_derivative(chart, self.x)
         self.d2B = _fd_hessian(partial(_frame_derivative, chart), self.x, step=2e-4)
+        self._last_stats = None
+
+    def stats(self, w: np.ndarray):
+        """`_c2_stats` of the single displacement w.  The last w's are kept:
+        `c2_distance` and every delta's `_live_cells` ask for the same w."""
+        w = np.asarray(w, dtype=float)
+        key = w.tobytes()
+        if self._last_stats is None or self._last_stats[0] != key:
+            stats = _c2_stats(self, w[None, :])
+            for a in stats:  # every caller shares them
+                a.setflags(write=False)
+            self._last_stats = (key, stats)
+        return self._last_stats[1]
 
     # -- batched per-displacement suprema -----------------------------------
 
@@ -155,7 +168,7 @@ def c2_distance(chart: ManifoldChart, w: np.ndarray, per_axis: int | None = None
     """C^2 distance of two maps f_y, f_z of the chart's family: the C^2 norm
     of the single map f_w, w = y - z."""
     ff = _field(chart, per_axis)
-    _, sv, sg, sh, slack = _c2_stats(ff, w[None, :])
+    _, sv, sg, sh, slack = ff.stats(w)
     value = float(max(sv[0], sg[0], sh[0]))
     return C2Distance(
         value=value,
@@ -260,7 +273,7 @@ def _live_cells(ff: FrameField, w: np.ndarray, reach: float) -> np.ndarray:
     half-diagonal of one of its corners.
     """
     d, k = ff.chart.dim, ff.per_axis
-    vals, _, sup_g, _, slack = _c2_stats(ff, w[None, :])
+    vals, _, sup_g, _, slack = ff.stats(w)
     low = vals[0].reshape((k,) * d)
     for axis in range(d):
         low = np.minimum(low.take(range(k - 1), axis), low.take(range(1, k), axis))

@@ -302,3 +302,15 @@ def test_pair_volume_run_loads_no_scipy(tmp_path):
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
+def test_cone_incidence_run_loads_no_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call
+    cfg = write_config(tmp_path, "[cone-incidence]\nsweep_lines = 2\ncheck_lines = 2\n"
+                                 "samples = 4000\n")
+    code = ("import sys; from projlab.cli import main; "
+            f"rc = main(['cone-incidence', '--config', {cfg!r}, '--out-dir', {str(tmp_path)!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"

@@ -19,7 +19,14 @@ from projlab.cone import (
     tangent_plane_angle,
     tube_components,
 )
-from projlab.cone import _complement_basis, _polish_root, _radial_defect, _tube_volume_exact
+from projlab.cone import (
+    _bracket,
+    _complement_basis,
+    _polish_root,
+    _radial_defect,
+    _tube_nodes,
+    _tube_volume_exact,
+)
 from projlab.manifold import CapChart, ManifoldChart, PerturbedCapChart, frame_matrices
 from projlab.util import rng_stream, unit_ball_volume
 
@@ -349,8 +356,10 @@ def test_generatrix_tube_fills_and_scales_quadratically(cap3):
     for j in (5, 6, 7):
         # a generatrix has no isolated cuts
         rep = line_cone_tube_volume(cap3, line, Cuts(), 2.0**-j, 60_000, rng_stream(25, j))
-        # every node of a generatrix is on the cone, so no sample is ruled out
-        assert rep.evaluated == rep.samples
+        # the generatrix lies on the cone, so every tube sample hits, and
+        # the bracket certifies the ones nearer its node than delta
+        assert rep.hits == rep.samples
+        assert rep.certified_hits > 0 and rep.evaluated < rep.samples
         tube = line.length * math.pi * (2.0**-j) ** 2 + unit_ball_volume(3) * (2.0**-j) ** 3
         assert rep.volume == pytest.approx(tube, rel=0.1)
         vols.append(rep.volume)
@@ -361,8 +370,8 @@ def test_generatrix_tube_fills_and_scales_quadratically(cap3):
 
 
 def _tube_samples(line: LineSegment, delta: float, count: int, rng: np.random.Generator):
-    """Uniform points of the segment's delta-tube and the clamped axial
-    parameter of each (the foot's t in [t0, t1])."""
+    """Uniform points of the segment's delta-tube, drawn without thinning,
+    with the axial parameter and the axis distance of each."""
     n = line.base.shape[0]
     ts = rng.uniform(line.t0 - delta, line.t1 + delta, size=count)
     # orthonormal complement of the direction
@@ -375,15 +384,41 @@ def _tube_samples(line: LineSegment, delta: float, count: int, rng: np.random.Ge
     tt = np.clip(((pts - line.base) @ line.direction), line.t0, line.t1)
     foot = line.base + tt[:, None] * line.direction
     inside = np.linalg.norm(pts - foot, axis=1) < delta
-    return pts[inside], tt[inside]
+    return pts[inside], ts[inside], radius[inside]
 
 
-def _unpruned_tube(chart, line, delta, samples, rng):
-    """Reference: the cone distance of every tube sample, same draws, with
-    the points built and the end caps tested in full geometry."""
-    pts, _ = _tube_samples(line, delta, samples, rng)
-    hits = int(np.count_nonzero(cone_distance(chart, pts) < delta))
-    return hits, pts.shape[0], hits / pts.shape[0] * _tube_volume_exact(line, delta)
+def _sound_tube_cut(chart, line, delta, count, rng):
+    """Hit mask of unthinned tube draws, after checking the cut on them: no
+    draw in a dead node's interval hits, and wherever the bracket decides a
+    draw it agrees with the computed cone distance.  Also returns how many
+    the bracket decided."""
+    pts, ts, radius = _tube_samples(line, delta, count, rng)
+    nodes, node_dist, edges, live = _tube_nodes(chart, line, delta)
+    g = np.searchsorted(edges, ts, side="right") - 1
+    # a node owns the draws whose clamped foot rounds to it
+    step = delta / 4.0
+    last = round(line.length / step)
+    assert nodes.size == last + 1
+    foot = np.clip(ts, line.t0, line.t1)
+    assert np.array_equal(g, np.minimum(np.rint((foot - line.t0) / step), last))
+    hit = cone_distance(chart, pts) < delta
+    assert not hit[~live[g]].any()
+    sure, undecided = _bracket(node_dist[g], np.hypot(ts - nodes[g], radius), delta)
+    assert hit[sure].all()
+    assert not hit[~sure & ~undecided].any()
+    return hit, int(np.count_nonzero(~undecided))
+
+
+def _thinned_law(line, delta, samples, hit, rep):
+    """|z| of the thinned value against the unthinned estimate from the
+    draws behind `hit`, and the mean and variance of the tube's `samples`."""
+    tube = _tube_volume_exact(line, delta)
+    frac = hit.mean()
+    ref_se = tube * math.sqrt(frac * (1.0 - frac) / hit.size)
+    z = abs(rep.volume - tube * frac) / math.hypot(rep.stderr, ref_se)
+    n = line.base.shape[0]
+    p = tube / ((line.length + 2.0 * delta) * unit_ball_volume(n - 1) * delta ** (n - 1))
+    return z, samples * p, samples * p * (1.0 - p)
 
 
 @pytest.mark.parametrize("chart, samples", [
@@ -395,43 +430,85 @@ def _unpruned_tube(chart, line, delta, samples, rng):
 def test_pruned_tube_counts_every_hit(chart, samples):
     line, cuts = make_transversal_lines(chart, 0.3, 1, rng_stream(27, chart.n))[0]
     evaluated = drawn = 0
+    expected = variance = 0.0
     for j in (6, 9):
         delta = 2.0**-j
-        rep = line_cone_tube_volume(chart, line, cuts, delta, samples, rng_stream(27, j))
-        hits, total, volume = _unpruned_tube(chart, line, delta, samples, rng_stream(27, j))
-        assert (rep.hits, rep.samples, rep.volume) == (hits, total, volume)
-        assert hits > 0
+        hit, _ = _sound_tube_cut(chart, line, delta, samples, rng_stream(27, j))
+        assert hit.any()
+        # an independent stream: thinned draws estimate what all draws do
+        rep = line_cone_tube_volume(chart, line, cuts, delta, samples, rng_stream(26, j))
+        z, mean, var = _thinned_law(line, delta, samples, hit, rep)
+        assert z <= 4.0
+        expected += mean
+        variance += var
         evaluated += rep.evaluated
         drawn += rep.samples
+        assert 0 < rep.certified_hits < rep.hits
+    # the dead end regions add Binomial(draws, q) samples
+    assert abs(drawn - expected) <= 5.0 * math.sqrt(variance)
     assert evaluated < 0.3 * drawn
+
+
+def _through_the_cone(chart, delta):
+    # a segment of length 2*delta through the cone: half the axial draws
+    # fall beyond an end, where the end-cap test decides what is inside
+    x = np.full((1, chart.dim), 0.5)
+    return LineSegment(0.5 * chart.point(x)[0], chart.normal(x)[0], -delta, delta)
+
+
+def _beside_a_generatrix(chart, delta, offset):
+    # parallel to a generatrix at offset*delta
+    x = np.full((1, chart.dim), 0.4)
+    return LineSegment(offset * delta * chart.normal(x)[0], chart.point(x)[0], 0.2, 0.9)
+
+
+def _short_of_the_cone(chart, delta):
+    # toward the cone, with the last node 2*delta + s/4 from it and 0.45*s
+    # short of the end: only the tip of the end cap, up to delta + s/2 from
+    # the node, comes within delta of the cone
+    x = np.full((1, chart.dim), 0.5)
+    step, gap = delta / 4.0, 2.0 * delta + delta / 16.0
+    return LineSegment(0.5 * chart.point(x)[0], chart.normal(x)[0],
+                       -gap - 2.0 * step, -gap + 0.45 * step)
 
 
 @pytest.mark.parametrize("delta", [2.0**-6, 2.0**-9])
 def test_tube_pruning_keeps_the_lipschitz_margin(cap3, delta):
-    # a line parallel to a generatrix at distance 1.5*delta: every grid node
-    # is farther than delta from the cone, yet the tube meets its
-    # delta-neighborhood along the whole segment
-    x = np.array([[0.4]])
-    line = LineSegment(1.5 * delta * cap3.normal(x)[0], cap3.point(x)[0], 0.2, 0.9)
-    rep = line_cone_tube_volume(cap3, line, Cuts(), delta, 20_000, rng_stream(28, 1))
-    hits, total, _ = _unpruned_tube(cap3, line, delta, 20_000, rng_stream(28, 1))
-    assert (rep.hits, rep.samples) == (hits, total)
-    assert hits > 0.15 * total
+    # beside a generatrix at 1.5*delta no node is within delta of the cone
+    # and at 0.5*delta no node is farther, yet both tubes hold hits and
+    # misses; short of the cone only draws up to delta + s/2 from their
+    # node hit
+    cap4 = CapChart(4, 0.6)
+    probes = [(cap3, _beside_a_generatrix(cap3, delta, 1.5)),
+              (cap4, _beside_a_generatrix(cap4, delta, 1.5)),
+              (cap3, _beside_a_generatrix(cap3, delta, 0.5)),
+              (cap3, _short_of_the_cone(cap3, delta))]
+    for i, (chart, line) in enumerate(probes):
+        rng = rng_stream(28, i, round(-math.log2(delta)))
+        hit, decided = _sound_tube_cut(chart, line, delta, 100_000, rng)
+        # the tip's share is about 1e-3
+        assert 0.001 * hit.size < np.count_nonzero(hit) < hit.size
+        # so the bracket's decisions are tested too
+        assert decided > 0.05 * hit.size or i == 3
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_end_cap_draws_match_full_geometry(n):
-    # a segment of length 2*delta through the cone: half the axial draws
-    # fall beyond an end, where the end-cap test decides what is inside
     chart = CapChart(n, 0.6)
-    x = np.full((1, chart.dim), 0.5)
-    delta = 2.0**-6
-    line = LineSegment(0.5 * chart.point(x)[0], chart.normal(x)[0], -delta, delta)
+    delta, samples = 2.0**-6, 20_000
+    line = _through_the_cone(chart, delta)
+    expected = variance = 0.0
+    drawn = 0
     for j in range(4):
-        rep = line_cone_tube_volume(chart, line, Cuts(), delta, 20_000, rng_stream(29, n, j))
-        hits, total, volume = _unpruned_tube(chart, line, delta, 20_000, rng_stream(29, n, j))
-        assert (rep.samples, rep.hits, rep.volume) == (total, hits, volume)
-        assert 0 < hits < total
+        hit, _ = _sound_tube_cut(chart, line, delta, samples, rng_stream(29, n, j))
+        rep = line_cone_tube_volume(chart, line, Cuts(), delta, samples, rng_stream(30, n, j))
+        z, mean, var = _thinned_law(line, delta, samples, hit, rep)
+        assert z <= 4.0
+        assert 0 < rep.hits < rep.samples
+        expected += mean
+        variance += var
+        drawn += rep.samples
+    assert abs(drawn - expected) <= 5.0 * math.sqrt(variance)
 
 
 @pytest.mark.parametrize("delta, samples", [

@@ -189,6 +189,28 @@ def test_pair_volume_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypatch
     }
 
 
+def test_pair_volume_computes_the_c2_stats_once_per_pair(monkeypatch):
+    stats, distance = projmap._c2_stats, projmap.c2_distance
+    rows, pairs = [], []
+
+    def counted_stats(ff, W):
+        rows.extend(W.tolist())
+        return stats(ff, W)
+
+    def recorded_distance(chart, w, *args):
+        pairs.append(w.tolist())
+        return distance(chart, w, *args)
+
+    monkeypatch.setattr(projmap, "_c2_stats", counted_stats)
+    monkeypatch.setattr(projmap, "c2_distance", recorded_distance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = run_pair_volume_sweep(CapChart(3, 0.6), 3, pairs_per_u=1, samples=2_000)
+    assert len(pairs) == 5 and len(rep.measurements) == 25
+    # c2_distance and the four deltas' live cells share one evaluation
+    assert rows == pairs
+
+
 def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypatch):
     tube, reports = cones.line_cone_tube_volume, []
     transversal, cut_lists = cones.make_transversal_lines, []
@@ -225,8 +247,12 @@ def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypa
         "line_cone_tube_volume.samples": sum(r.samples for r in reports),
         "line_cone_tube_volume.evaluated": sum(r.evaluated for r in reports),
         "line_cone_tube_volume.hits": sum(r.hits for r in reports),
+        "line_cone_tube_volume.certified_hits": sum(r.certified_hits for r in reports),
+        "line_cone_tube_volume.min_hits": min(r.hits for r in reports),
         "line_cone_points.dropped": sum(c.dropped for c in cut_lists),
     }
+    assert 0 < meta["counters"]["line_cone_tube_volume.certified_hits"] < sum(
+        r.hits for r in reports)
 
 
 def test_cone_incidence_keeps_empty_tubes_out_of_the_fit(cap3):
