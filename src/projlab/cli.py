@@ -16,6 +16,7 @@ import numpy as np
 
 from . import experiments as ex
 from . import sets
+from .manifold import ChartError
 
 EXPERIMENT_NAMES = tuple(ex.EXPERIMENTS)
 
@@ -357,7 +358,11 @@ def _build_fractal(cfg: ExperimentConfig, chart):
 
 
 def dispatch(cfg: ExperimentConfig) -> int:
-    chart = ex.chart_from_params(cfg.manifold)
+    try:
+        chart = ex.chart_from_params(cfg.manifold)
+    except ChartError as e:
+        print(f"config error: manifold: {e}", file=sys.stderr)
+        return 2
     # out_dir goes to the sidecar, so the report bytes do not depend on it
     run_snapshot = {"seed": cfg.seed, "experiments": list(cfg.experiments)}
     worst = 0

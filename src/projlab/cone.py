@@ -338,12 +338,14 @@ def _tube_volume_exact(line: LineSegment, delta: float) -> float:
 # overestimate is about |p| times the error in the sine of the angle to the
 # cross-section.  The nodes that matter lie within 1 + 3*delta of the
 # apex (the cone lies in the unit ball around it).  The largest sine
-# error `nearest_direction` was measured to make is 3.2e-16: on caps and
-# perturbed caps at n = 3 and n = 4 (40,000 and 8,000 random points),
-# against 200 projected Newton steps with no stopping rule; on the n = 4
-# cap the cosines were also within 3.3e-16 of the exact optimum over the
-# parameter cube.  1e-4 stays as margin for charts the measurement does not
-# cover and for rows whose `converged` flag is False.
+# error `nearest_direction` was measured to make is 3.3e-16, against 200
+# projected Newton steps with no stopping rule: on caps at n = 3 and n = 4
+# (40,000 and 8,000 random points), and on the closed-form perturbed caps
+# (c = +-0.6, frequency 2, amplitude 0.01 at n = 3 and 0.005 at n = 4;
+# 80,000 and 16,000 directions, signed pairs, half near the chart).  On the
+# n = 4 cap the cosines were also within 3.3e-16 of the exact optimum over
+# the parameter cube.  1e-4 stays as margin for charts the measurement does
+# not cover and for rows whose `converged` flag is False.
 _NODE_SLACK = 1e-4
 
 

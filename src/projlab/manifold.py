@@ -46,8 +46,8 @@ _DEGENERATE_TOL = 1e-10
 
 # A full Newton step shorter than this ends the angular nearest-point
 # search on its row.  Convergence is quadratic, so the error after such a
-# step is of the order of its square; finite-difference gradient noise
-# alone keeps steps at up to 5e-12 on the optimum (perturbed caps).
+# step is of the order of its square.  The value was set when perturbed
+# caps had finite-difference derivatives; it stays now they are closed form.
 _NEWTON_XTOL = 1e-10
 
 
@@ -129,37 +129,28 @@ def _sphere_embed(u: np.ndarray, order: int = 2):
                         d2y[..., k, j, l] = v
                         if l != j:
                             d2y[..., k, l, j] = v
-    if order == 0:
-        return (y,)
-    if order == 1:
-        return y, dy
-    return y, dy, d2y
+    return (y, dy, d2y)[: order + 1]
 
 
-def _fd_tensor(func, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Fourth-order central difference of `func` along each parameter axis.
+def _fd_hessian(jacobian, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+    """Fourth-order central difference of a Jacobian along each parameter
+    axis, symmetrized: its last two axes are the two derivative axes.
 
-    `func` maps (..., d) parameters to arrays with trailing value axes; the
-    result gains one final axis of length d = x.shape[-1].  Evaluation
+    This is the one finite-difference stencil of the package; it serves
+    `DualChart.hessian` and the frame field's second derivative.  Evaluation
     slightly outside [0,1]^d is deliberate: every chart formula extends
     analytically.
     """
     x = np.asarray(x, dtype=float)
     columns = []
     for j in range(x.shape[-1]):
-        acc = 0.0  # the first term sets the shape: func(x) is never needed
+        acc = 0.0  # the first term sets the shape: jacobian(x) is never needed
         for off, wgt in zip(_FD4_OFFSETS, _FD4_WEIGHTS):
             xs = x.copy()
             xs[..., j] += off * step
-            acc += wgt * func(xs)
+            acc += wgt * jacobian(xs)
         columns.append(acc / step)
-    return np.stack(columns, axis=-1)
-
-
-def _fd_hessian(jacobian, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Symmetrized `_fd_tensor` of a Jacobian: its last two axes are the
-    two derivative axes."""
-    h = _fd_tensor(jacobian, x, step)
+    h = np.stack(columns, axis=-1)
     return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
@@ -191,7 +182,7 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
 
 
 class ManifoldChart:
-    """Base chart; subclasses provide point/jacobian/hessian."""
+    """Base chart; subclasses provide point/jacobian/hessian/normal."""
 
     n: int
     kind: str
@@ -212,32 +203,8 @@ class ManifoldChart:
         raise NotImplementedError
 
     def normal(self, x: np.ndarray) -> np.ndarray:
-        """Unit normal of the chart inside the sphere, oriented positively.
-
-        Generic path: orthogonal complement of span{point, tangent} via a
-        complete QR factorization, then the sign fixed pointwise so the
-        second fundamental form is positive definite.
-        """
-        p = self.point(x)
-        J = self.jacobian(x)
-        H = self.hessian(x)
-        sv = np.linalg.svd(J, compute_uv=False)
-        if np.any(sv[..., -1] < _DEGENERATE_TOL):
-            raise DegenerateJacobianError(
-                f"chart Jacobian singular value below {_DEGENERATE_TOL:g}"
-            )
-        A = np.concatenate([p[..., :, None], J], axis=-1)
-        q = np.linalg.qr(A, mode="complete")[0]
-        nu = q[..., :, -1]
-        ii = np.einsum("...k,...kij->...ij", nu, H)
-        eig = np.linalg.eigvalsh(ii)
-        pos = eig[..., 0] > 0.0
-        neg = eig[..., -1] < 0.0
-        if not np.all(pos | neg):
-            raise NonConvexityError(
-                "second fundamental form is not definite on the sampled points"
-            )
-        return nu * np.where(pos, 1.0, -1.0)[..., None]
+        """Unit normal inside the sphere; II is positive definite under it."""
+        raise NotImplementedError
 
     def normal_jacobian(self, x: np.ndarray) -> np.ndarray:
         """d(normal)/dx via the Weingarten identity dnu = -J (J^T J)^-1 (nu . H)."""
@@ -461,10 +428,15 @@ class CapChart(ManifoldChart):
 class PerturbedCapChart(ManifoldChart):
     """Cap with a normal-direction sinusoidal ripple, renormalized to S^(n-1).
 
-    point(x) = normalize(cap(x) + amplitude*sin(2 pi frequency x_1)*nu(x)).
-    The map value is closed-form (the cap normal is analytic); first and
-    second derivatives use fourth-order central differences.  Construction
-    rejects amplitudes that destroy one-signed curvature.
+    point(x) = normalize(cap(x) + b * nu_cap(x)) with
+    b = amplitude*sin(2 pi frequency x_1).  The cap's point is
+    (cos(theta0) y(u), sin(theta0)) with theta0 = asin(c), and its normal is
+    sign(c) times the height-angle derivative (-sin(theta0) y, cos(theta0)),
+    so the ripple only turns the height angle: the point is exactly
+    (cos(theta) y(u), sin(theta)) with theta = asin(c) + sign(c)*atan(b).
+    Point, Jacobian, Hessian and normal are closed form, from the angle
+    embedding's derivatives and the 1-D derivatives of theta in x_1.
+    Construction rejects amplitudes that destroy one-signed curvature.
     """
 
     kind = "perturbed-cap"
@@ -477,54 +449,77 @@ class PerturbedCapChart(ManifoldChart):
         self.c = self.base.c
         self.amplitude = float(amplitude)
         self.frequency = float(frequency)
+        self._sign = math.copysign(1.0, self.c)
         self._preflight()
 
-    def point(self, x):
+    def _parts(self, x, order: int):
+        """Point e, unit height-angle direction e_theta, cos and sin of theta,
+        theta', theta'' (trailing axis 1) and embedding derivatives to `order`."""
         x = np.asarray(x, dtype=float)
-        p = self.base.point(x)
-        nu = self.base.normal(x)
-        bump = self.amplitude * np.sin(2.0 * np.pi * self.frequency * x[..., 0])
-        q = p + bump[..., None] * nu
-        return q / np.linalg.norm(q, axis=-1, keepdims=True)
+        y, *derivs = _sphere_embed(self.base._angles(x), order)
+        w = 2.0 * math.pi * self.frequency
+        b = self.amplitude * np.sin(w * x[..., :1])
+        db = self.amplitude * w * np.cos(w * x[..., :1])
+        q = 1.0 + b * b
+        theta = math.asin(self.c) + self._sign * np.arctan(b)
+        d1 = self._sign * db / q
+        d2 = -self._sign * b * (w * w * q + 2.0 * db * db) / (q * q)
+        ct, st = np.cos(theta), np.sin(theta)
+        e = self.base._assemble(ct * y, st)
+        e_theta = self.base._assemble(-st * y, ct)
+        return e, e_theta, ct, st, d1, d2, derivs
+
+    def point(self, x):
+        return self._parts(x, 0)[0]
 
     def jacobian(self, x):
-        return _fd_tensor(self.point, x)
+        # J_j = cos(theta) span_j (dy_j, 0) + [j = 0] theta' e_theta
+        e, e_theta, ct, _, d1, _, (dy,) = self._parts(x, 1)
+        J = np.zeros(e.shape + (self.dim,))
+        J[..., :-1, :] = ct[..., None] * dy * self.base.span
+        J[..., 0] += d1 * e_theta
+        return J
 
     def hessian(self, x):
-        return _fd_hessian(self.jacobian, x)
+        # H_jl = cos(theta) span_j span_l (d2y_jl, 0)
+        #        - theta' sin(theta) ([j = 0] span_l (dy_l, 0) + [l = 0] span_j (dy_j, 0))
+        #        + [j = l = 0] (theta'' e_theta - theta'^2 e)
+        e, e_theta, ct, st, d1, d2, (dy, d2y) = self._parts(x, 2)
+        span = self.base.span
+        H = np.zeros(e.shape + (self.dim, self.dim))
+        H[..., :-1, :, :] = ct[..., None, None] * d2y * span[:, None] * span
+        cross = -(d1 * st)[..., None] * dy * span
+        H[..., :-1, 0, :] += cross
+        H[..., :-1, :, 0] += cross
+        H[..., 0, 0] += d2 * e_theta - d1 * d1 * e
+        return H
+
+    def normal(self, x):
+        # e_theta and (dy_0, 0) are orthonormal and orthogonal to the point
+        # and to every tangent column but J_0; this is the unit vector of
+        # their plane orthogonal to J_0, signed as the cap's normal
+        _, e_theta, ct, _, d1, _, (dy,) = self._parts(x, 1)
+        v = ct * self.base.span[0] * e_theta - d1 * self.base._assemble(dy[..., 0], 0.0)
+        return self._sign * v / np.linalg.norm(v, axis=-1, keepdims=True)
 
     def _preflight(self):
-        d = self.dim
-        g = 33 if d == 1 else 9
-        grid = _sample_grid(d, g)
-        try:
-            kappa = principal_curvatures(self, grid)
-            nu = self.normal(grid)
-        except (NonConvexityError, DegenerateJacobianError) as exc:
-            raise NonConvexityError(
-                f"perturbation amplitude {self.amplitude} breaks the chart hypotheses: {exc}"
-            ) from exc
-        if np.min(np.abs(kappa)) < 1e-3:
-            raise NonConvexityError(
-                "perturbation drives a principal curvature through zero"
+        # least Jacobian singular value, then least principal curvature under
+        # the oriented normal (orthogonal Jacobian columns: Cholesky is safe)
+        grid = _sample_grid(self.dim, 33 if self.dim == 1 else 9)
+        if np.linalg.svd(self.jacobian(grid), compute_uv=False).min() < _DEGENERATE_TOL:
+            raise DegenerateJacobianError(
+                f"perturbation amplitude {self.amplitude} degenerates the chart Jacobian"
             )
-        # the pointwise sign rule hides curvature sign changes as jumps of
-        # the normal field; reject any flip between grid neighbors
-        dots = np.einsum("in,in->i", nu[:-1], nu[1:])
-        interior = (np.arange(grid.shape[0] - 1) + 1) % g != 0
-        if np.any(dots[interior] <= 0.0):
+        least = float(np.min(principal_curvatures(self, grid)))
+        if not least >= 1e-3:
             raise NonConvexityError(
-                "normal orientation flips across the chart: curvature changes sign"
+                f"perturbation amplitude {self.amplitude} breaks the chart hypotheses: "
+                f"least principal curvature {least:.3g} on the sample grid"
             )
 
     def describe(self):
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "c": self.c,
-            "amplitude": self.amplitude,
-            "frequency": self.frequency,
-        }
+        return {**self.base.describe(), "kind": self.kind,
+                "amplitude": self.amplitude, "frequency": self.frequency}
 
 
 class DualChart(ManifoldChart):
@@ -532,8 +527,10 @@ class DualChart(ManifoldChart):
 
     The Jacobian is closed-form via the Weingarten identity applied to the
     base chart; the Hessian falls back to finite differences of that
-    Jacobian.  The dual's own normal is the base point itself, up to the
-    orientation sign fixed at construction.
+    Jacobian.  The dual's oriented normal is the base point p: p . nu = 0 and
+    d_j p . nu = 0 make p orthogonal to nu and to every d_i nu, and then
+    p . d_i d_j nu = -d_j p . d_i nu = II_ij, the base chart's second
+    fundamental form, positive definite on every chart the classes admit.
     """
 
     kind = "dual"
@@ -541,7 +538,6 @@ class DualChart(ManifoldChart):
     def __init__(self, base: ManifoldChart):
         self.base = base
         self.n = base.n
-        self._orient = self._orientation()
 
     def point(self, x):
         return self.base.normal(x)
@@ -553,26 +549,10 @@ class DualChart(ManifoldChart):
         return _fd_hessian(self.jacobian, x)
 
     def normal(self, x):
-        return self._orient * self.base.point(x)
+        return self.base.point(x)
 
     def normal_jacobian(self, x):
-        return self._orient * self.base.jacobian(x)
-
-    def _orientation(self) -> float:
-        # The candidate normal of the dual at parameter x is +-(base point);
-        # pick the sign making its second fundamental form positive.
-        d = self.dim
-        probe = np.full((1, d), 0.5)
-        probe = np.concatenate([probe, np.full((1, d), 0.25), np.full((1, d), 0.75)])
-        nu = self.base.point(probe)
-        H = self.hessian(probe)
-        ii = np.einsum("...k,...kij->...ij", nu, H)
-        eig = np.linalg.eigvalsh(ii)
-        if np.all(eig[..., 0] > 0.0):
-            return 1.0
-        if np.all(eig[..., -1] < 0.0):
-            return -1.0
-        raise NonConvexityError("dual chart has indefinite second fundamental form")
+        return self.base.jacobian(x)
 
     def describe(self):
         return {"kind": self.kind, "n": self.n, "base": self.base.describe()}

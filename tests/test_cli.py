@@ -188,6 +188,18 @@ def test_config_bound_without_its_section_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_chart_failing_its_hypotheses_is_a_config_error(tmp_path, capsys):
+    # the default amplitude 0.01 breaks one-signed curvature at n = 4
+    cfg = write_config(tmp_path, "[manifold]\nkind = perturbed-cap\nn = 4\n")
+    out = tmp_path / "out"
+    rc = cli.main(["manifold-info", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("config error: manifold: ")
+    assert "least principal curvature" in line
+    assert not out.exists()
+
+
 def test_runtime_error_gives_exit_two_and_aborted_report(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "[config-bound]\ns = 0.5\ns_prime = 0.5\nc_const = 0.25\n"

@@ -424,9 +424,9 @@ def _thinned_law(line, delta, samples, hit, rep):
 @pytest.mark.parametrize("chart, samples", [
     (CapChart(3, 0.6), 60_000),
     (CapChart(4, 0.6), 20_000),
-    # the perturbed chart's cone distances cost about 0.25 ms per row
-    (PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0), 5_000),
-], ids=["cap3", "cap4", "perturbed3"])
+    (PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0), 60_000),
+    (PerturbedCapChart(4, 0.6, amplitude=0.005, frequency=2.0), 20_000),
+], ids=["cap3", "cap4", "perturbed3", "perturbed4"])
 def test_pruned_tube_counts_every_hit(chart, samples):
     line, cuts = make_transversal_lines(chart, 0.3, 1, rng_stream(27, chart.n))[0]
     evaluated = drawn = 0

@@ -273,6 +273,14 @@ def test_cone_incidence_keeps_empty_tubes_out_of_the_fit(cap3):
     assert rep.fits["constant_lo"] != 0.0
 
 
+def test_cone_incidence_passes_on_the_perturbed_cap():
+    chart = PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0)
+    rep = run_cone_incidence(chart, 2026, sweep_lines=4, check_lines=4)
+    assert rep.checks["point_violations"] == 0
+    assert rep.checks["component_violations"] == 0
+    assert rep.verdict == "pass"
+
+
 def test_cone_incidence_notes_roots_that_fail_to_polish(cap3, monkeypatch):
     polish = cones._polish_root
 

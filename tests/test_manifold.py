@@ -7,6 +7,7 @@ from projlab.manifold import (
     DegenerateJacobianError,
     NonConvexityError,
     PerturbedCapChart,
+    _fd_hessian,
     frame_matrices,
     principal_curvatures,
 )
@@ -105,25 +106,71 @@ def test_perturbed_amplitude_keeps_convexity():
     assert kap.min() > 0
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_perturbed_jacobian_makes_four_point_calls_per_axis(n):
-    pz = PerturbedCapChart(n, 0.6, amplitude=0.01, frequency=1.0)
-    calls = []
-    point = pz.point
-
-    def counting(x):
-        calls.append(x.shape)
-        return point(x)
-
-    pz.point = counting
-    x = rng(8).random((20, pz.dim))
-    assert pz.jacobian(x).shape == (20, n, pz.dim)
-    assert len(calls) == 4 * pz.dim
+def _fd4_of_point(chart, x, step=1e-4):
+    # the fourth-order central stencil of `point` along each parameter axis
+    cols = []
+    for j in range(chart.dim):
+        h = np.zeros(chart.dim)
+        h[j] = step
+        p = [chart.point(x + k * h) for k in (-2, -1, 1, 2)]
+        cols.append((p[0] - 8.0 * p[1] + 8.0 * p[2] - p[3]) / (12.0 * step))
+    return np.stack(cols, axis=-1)
 
 
-def test_perturbed_large_amplitude_rejected():
-    with pytest.raises(NonConvexityError):
-        PerturbedCapChart(3, 0.6, amplitude=0.4, frequency=6.0)
+@pytest.mark.parametrize("n, amplitude", [(3, 0.1), (4, 0.005)], ids=["3", "4"])
+def test_perturbed_derivatives_match_finite_differences(n, amplitude):
+    for c in (0.6, -0.6):
+        pz = PerturbedCapChart(n, c, amplitude=amplitude, frequency=2.0)
+        x = rng(8).random((300, pz.dim))
+        p, J, H, nu = pz.point(x), pz.jacobian(x), pz.hessian(x), pz.normal(x)
+        assert np.abs(J - _fd4_of_point(pz, x)).max() <= 1e-9
+        assert np.abs(H - _fd_hessian(pz.jacobian, x)).max() <= 1e-8
+        assert np.abs(np.linalg.norm(nu, axis=-1) - 1.0).max() <= 1e-12
+        assert np.abs(np.einsum("xn,xn->x", nu, p)).max() <= 1e-12
+        assert np.abs(np.einsum("xn,xnk->xk", nu, J)).max() <= 1e-12
+        ii = np.einsum("xn,xnkl->xkl", nu, H)
+        assert np.linalg.eigvalsh(ii)[:, 0].min() > 0.0
+
+
+@pytest.mark.parametrize("n, amplitude, frequency, rejected", [
+    (3, 0.4, 6.0, True),
+    (4, 0.01, 2.0, True),
+    (4, 0.008, 2.0, True),
+    (3, 0.01, 2.0, False),
+    (3, 0.1, 2.0, False),
+    (4, 0.005, 2.0, False),
+], ids=["n3-a0.4-f6", "n4-a0.01-f2", "n4-a0.008-f2", "n3-a0.01-f2", "n3-a0.1-f2",
+        "n4-a0.005-f2"])
+def test_perturbed_large_amplitude_rejected(n, amplitude, frequency, rejected):
+    if rejected:
+        with pytest.raises(NonConvexityError):
+            PerturbedCapChart(n, 0.6, amplitude=amplitude, frequency=frequency)
+    else:
+        pz = PerturbedCapChart(n, 0.6, amplitude=amplitude, frequency=frequency)
+        assert principal_curvatures(pz, rng(12).random((500, pz.dim))).min() >= 1e-3
+
+
+def test_perturbed_degenerate_jacobian_is_a_chart_error():
+    # amplitude tan(acos(0.6)) at frequency 1/2 lifts the grid node x = 0.5
+    # onto the pole, where the chart Jacobian vanishes
+    with pytest.raises(DegenerateJacobianError):
+        PerturbedCapChart(3, 0.6, amplitude=4.0 / 3.0, frequency=0.5)
+
+
+@pytest.mark.parametrize("chart", [
+    PerturbedCapChart(3, 0.6, amplitude=0.1, frequency=2.0),
+    PerturbedCapChart(4, -0.6, amplitude=0.005, frequency=2.0),
+    CapChart(3, -0.6),
+    CapChart(4, -0.3),
+], ids=["perturbed3", "perturbed4-neg", "cap3-neg", "cap4-neg"])
+def test_dual_normal_orientation_is_positive(chart):
+    # the dual's normal is the base point with no sign probe: its curvatures
+    # are positive and the reciprocals of the base chart's
+    x = rng(13).random((300, chart.dim))
+    kappa = principal_curvatures(chart, x)
+    dual = principal_curvatures(chart.dual(), x)
+    assert dual.min() > 0.0
+    assert np.abs(kappa * dual[:, ::-1] - 1.0).max() <= 1e-6
 
 
 def test_dual_image_height():

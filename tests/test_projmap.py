@@ -378,13 +378,13 @@ def _unpruned_draws(chart, w, delta, samples, rng):
     return np.concatenate(xs), np.concatenate(ts)
 
 
-# two chunks of draws on the caps; one on the perturbed cap, whose
-# finite-difference frames cost over 20 times as much per row
+# two chunks of draws on every chart
 @pytest.mark.parametrize("chart, samples", [
     (CapChart(3, 0.6), 300_000),
     (CapChart(4, 0.6), 300_000),
-    (PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0), 30_000),
-], ids=["cap3", "cap4", "perturbed3"])
+    (PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0), 300_000),
+    (PerturbedCapChart(4, 0.6, amplitude=0.005, frequency=2.0), 300_000),
+], ids=["cap3", "cap4", "perturbed3", "perturbed4"])
 def test_thinned_draws_keep_the_estimate(chart, samples):
     ff = projmap._field(chart, None)
     cells = (ff.per_axis - 1,) * chart.dim
