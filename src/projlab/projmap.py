@@ -139,21 +139,17 @@ class C2Distance:
 
 
 def _c2_stats(ff: FrameField, W: np.ndarray):
-    """Grid value norms (P, G), then per-displacement sup-norms (value,
-    gradient op, Hessian form) and slacks."""
+    """Grid value norms and least gradient singular values (P, G), then
+    per-displacement sup-norms (value, gradient op, Hessian form) and
+    slacks."""
     d = ff.chart.dim
     vals = np.linalg.norm(ff.values(W), axis=-1)  # (P, G)
-    grads = ff.gradients(W)  # (P, G, c, d)
-    gnorm = np.linalg.norm(grads, ord=2, axis=(-2, -1)) if d > 1 else np.linalg.norm(
-        grads[..., 0], axis=-1
-    )
-    hess = ff.hessians(W)  # (P, G, c, d, d)
-    if d == 1:
-        hnorm = np.linalg.norm(hess[..., 0, 0], axis=-1)
-    else:
-        xi = unit_directions(d, 32 * d)
-        quad = np.einsum("pgcjl,kj,kl->pgkc", hess, xi, xi)
-        hnorm = np.linalg.norm(quad, axis=-1).max(axis=-1)
+    sv = np.linalg.svd(ff.gradients(W), compute_uv=False)  # (P, G, d), descending
+    gnorm = sv[..., 0]
+    # unit_directions(1, .) is +-1, so d = 1 reads the one Hessian entry
+    xi = unit_directions(d, 32 * d)
+    quad = np.einsum("pgcjl,kj,kl->pgkc", ff.hessians(W), xi, xi)
+    hnorm = np.linalg.norm(quad, axis=-1).max(axis=-1)
     sup_v = vals.max(axis=-1)
     sup_g = gnorm.max(axis=-1)
     sup_h = hnorm.max(axis=-1)
@@ -161,14 +157,14 @@ def _c2_stats(ff: FrameField, W: np.ndarray):
     lip_g = _grid_lipschitz(gnorm, ff.per_axis, d, ff.mesh)
     lip_h = _grid_lipschitz(hnorm, ff.per_axis, d, ff.mesh)
     slack = np.maximum(np.maximum(lip_v, lip_g), lip_h) * ff.half_diag
-    return vals, sup_v, sup_g, sup_h, slack
+    return vals, sv[..., -1], sup_v, sup_g, sup_h, slack
 
 
 def c2_distance(chart: ManifoldChart, w: np.ndarray, per_axis: int | None = None) -> C2Distance:
     """C^2 distance of two maps f_y, f_z of the chart's family: the C^2 norm
     of the single map f_w, w = y - z."""
     ff = _field(chart, per_axis)
-    _, sv, sg, sh, slack = ff.stats(w)
+    _, _, sv, sg, sh, slack = ff.stats(w)
     value = float(max(sv[0], sg[0], sh[0]))
     return C2Distance(
         value=value,
@@ -181,30 +177,22 @@ def c2_distance(chart: ManifoldChart, w: np.ndarray, per_axis: int | None = None
 
 
 def _certificates(ff: FrameField, W: np.ndarray) -> dict:
-    """Certified infima of |h| + |grad_xi h| for h = B(x) w, per row w of W.
+    """Certified infima of |h| + |grad_xi h| over unit xi for h = B(x) w,
+    per row w of W.
 
-    The objective is minimized over the grid nodes and 2, 64 or 192 unit
-    directions xi (chart dimension 1, 2 or 3).  The grid minimum `raw` is
-    reduced by the `margin` (sup|grad| + sup|Hess|) times the mesh
-    half-diagonal plus sup|grad| times half the direction mesh, so a
-    positive `certified` value genuinely separates the maps.  `ratio` is certified over the C^2 norm's
+    The least |grad_xi h| over unit xi is the least singular value of
+    grad h, so the objective is |h| + sigma_min(grad h), minimized over the
+    grid nodes to `raw`.  sigma_min is 1-Lipschitz in the operator norm, so
+    `raw` less the `margin` (sup|grad| + sup|Hess|) times the mesh
+    half-diagonal is a certified lower bound: a positive `certified` value
+    genuinely separates the maps.  `ratio` is certified over the C^2 norm's
     upper estimate `norm_upper` (inf when that is 0), `c1` the C^1 norm and
     `argmin` the grid index of the minimizing node; all are arrays over W.
     """
-    d = ff.chart.dim
-    vals, sup_v, sup_g, sup_h, slack = _c2_stats(ff, W)
-    xi_count = {1: 2, 2: 64, 3: 192}[d]
-    xi = unit_directions(d, xi_count)
-    dgrad = np.linalg.norm(np.einsum("pgcj,kj->pgkc", ff.gradients(W), xi), axis=-1)
-    objective = (vals[:, :, None] + dgrad).reshape(W.shape[0], -1)
+    vals, least, sup_v, sup_g, sup_h, slack = _c2_stats(ff, W)
+    objective = vals + least
     raw = objective.min(axis=-1)
-    if d == 1:
-        xi_margin = 0.0
-    else:
-        # neighboring xi samples are within ~2pi/K on the sphere of directions
-        xi_mesh = 2.0 * math.pi / xi_count if d == 2 else 2.0 * math.sqrt(4.0 * math.pi / xi_count)
-        xi_margin = 0.5 * xi_mesh
-    margin = (sup_g + sup_h) * ff.half_diag + sup_g * xi_margin
+    margin = (sup_g + sup_h) * ff.half_diag
     certified = raw - margin
     norm_c2 = np.maximum(np.maximum(sup_v, sup_g), sup_h)
     norm_upper = norm_c2 + slack
@@ -212,7 +200,7 @@ def _certificates(ff: FrameField, W: np.ndarray) -> dict:
                       where=norm_upper > 0.0)
     return {"raw": raw, "certified": certified, "margin": margin, "norm_c2": norm_c2,
             "norm_upper": norm_upper, "ratio": ratio, "c1": np.maximum(sup_v, sup_g),
-            "argmin": objective.argmin(axis=-1) // xi_count}
+            "argmin": objective.argmin(axis=-1)}
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +261,7 @@ def _live_cells(ff: FrameField, w: np.ndarray, reach: float) -> np.ndarray:
     half-diagonal of one of its corners.
     """
     d, k = ff.chart.dim, ff.per_axis
-    vals, _, sup_g, _, slack = ff.stats(w)
+    vals, _, _, sup_g, _, slack = ff.stats(w)
     low = vals[0].reshape((k,) * d)
     for axis in range(d):
         low = np.minimum(low.take(range(k - 1), axis), low.take(range(1, k), axis))
@@ -345,7 +333,6 @@ def pair_intersection_volume(
 @dataclass
 class CinematicReport:
     K_est: float  # certified cinematic constant: sup of norm/infimum ratios; inf if uncertified
-    D_est: float  # empirical doubling constant of the family
     bilipschitz_lo: float  # C^1 distance / displacement ratio bounds
     bilipschitz_hi: float
     samples: int
@@ -355,47 +342,31 @@ class CinematicReport:
     uncertified: int  # pairs whose certified infimum is not positive
 
 
-# Rows of W per `_certificates` call in `survey_family`.  The objective holds
-# (rows x grid x xi x components) floats, about 2.5 MiB per row for a cap at
-# n = 4 on the default grid; every certificate is per row, so blocking
-# changes no number.
+# Rows of W per `_certificates` call in `survey_family`.  Its peak is the
+# Hessian form sample over (rows x grid x xi x components), 2.46 MiB per row
+# for a cap at n = 4 on the default grid; every certificate is per row, so
+# blocking changes no number.
 _CERT_BLOCK = 16
 
 
-def survey_family(
-    chart: ManifoldChart,
-    zs: np.ndarray,
-    pair_count: int,
-    rng: np.random.Generator,
-    per_axis: int | None = None,
-) -> CinematicReport:
-    """Empirical cinematic constants over random pairs drawn from zs.
+def survey_family(chart: ManifoldChart, W: np.ndarray,
+                  per_axis: int | None = None) -> CinematicReport:
+    """Empirical cinematic constants over the pair displacements W (P, n).
 
-    Evaluates |h| + |grad_xi h| for every sampled pair via one shared frame
-    field; reports the certified worst-case ratio (its reciprocal is the
-    cinematic constant), C^1 bilipschitz bounds against |y - z|, and a
-    packing-based doubling estimate.
+    Certifies the infimum of |h| + |grad_xi h| for every row of W via one
+    shared frame field; reports the certified worst-case ratio (its
+    reciprocal is the cinematic constant) and C^1 bilipschitz bounds
+    against |w|.
     """
-    zs = np.asarray(zs, dtype=float)
+    W = np.asarray(W, dtype=float)
     ff = _field(chart, per_axis)
-    idx = rng.integers(0, zs.shape[0], size=(pair_count, 2))
-    idx = idx[idx[:, 0] != idx[:, 1]]
-    if not idx.shape[0]:
-        raise ValueError("survey_family: no sampled pair has two distinct indices into zs")
-    W = zs[idx[:, 0]] - zs[idx[:, 1]]
-    sep = np.linalg.norm(W, axis=-1)
     blocks = [_certificates(ff, W[i : i + _CERT_BLOCK])
               for i in range(0, W.shape[0], _CERT_BLOCK)]
     cert = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
-    bil = cert["c1"] / sep
-    # doubling constant: largest (r/2)-packing of a C^1 ball of radius r,
-    # measured in the displacement surrogate metric
-    hi_scale = float(bil.max())
-    D_est = _doubling_estimate(zs, hi_scale, rng)
+    bil = cert["c1"] / np.linalg.norm(W, axis=-1)
     uncertified = int(np.count_nonzero(cert["certified"] <= 0.0))
     return CinematicReport(
         K_est=math.inf if uncertified else float(1.0 / max(cert["ratio"].min(), 1e-300)),
-        D_est=D_est,
         bilipschitz_lo=float(bil.min()),
         bilipschitz_hi=float(bil.max()),
         samples=int(W.shape[0]),
@@ -411,10 +382,10 @@ def survey_family(
 _DOUBLING_BLOCK = 64
 
 
-def _doubling_estimate(zs: np.ndarray, scale: float, rng: np.random.Generator,
-                       trials: int = 24) -> float:
+def _doubling_estimate(zs: np.ndarray, rng: np.random.Generator, trials: int = 24) -> float:
     """Largest greedy (r/2)-packing of a ball B(z, r) over `trials` draws of
-    a center z from zs and of r from the positive pairwise distances.
+    a center z from zs and of r from the positive pairwise distances.  The
+    count is the same for every scaling of the metric.
 
     Distances are computed _DOUBLING_BLOCK rows at a time, never as the full
     matrix.  r is the k-th positive distance in row-major order for k
@@ -426,7 +397,7 @@ def _doubling_estimate(zs: np.ndarray, scale: float, rng: np.random.Generator,
         return float("nan")
 
     def rows(lo, hi):
-        return np.linalg.norm(zs[lo:hi, None, :] - zs[None, :, :], axis=-1) * scale
+        return np.linalg.norm(zs[lo:hi, None, :] - zs[None, :, :], axis=-1)
 
     counts = np.concatenate([np.count_nonzero(rows(i, i + _DOUBLING_BLOCK) > 0.0, axis=1)
                              for i in range(0, n, _DOUBLING_BLOCK)])
@@ -444,7 +415,7 @@ def _doubling_estimate(zs: np.ndarray, scale: float, rng: np.random.Generator,
         kept = 0
         while candidates.size:
             m, rest = candidates[0], candidates[1:]
-            near = np.linalg.norm(zs[m] - zs[rest], axis=-1) * scale <= r / 2.0
+            near = np.linalg.norm(zs[m] - zs[rest], axis=-1) <= r / 2.0
             candidates = rest[~near]
             kept += 1
         best = max(best, kept)

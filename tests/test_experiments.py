@@ -124,6 +124,7 @@ def test_cinematic_check_small(cap3):
     assert 1.0 < rep.fits["K_est"] < 100.0
     tags = {m["quantity"] for m in rep.measurements}
     assert "K_est_base" in tags and "K_est_doubled" in tags
+    assert "doubling" in tags and rep.fits["doubling"] >= 1.0
 
 
 def test_cinematic_check_marks_an_uncertified_survey(cap3):
@@ -138,6 +139,12 @@ def test_cinematic_check_marks_an_uncertified_survey(cap3):
     tags = {m["quantity"] for m in rep.measurements}
     assert "K_est_base" not in tags and "min_certified_ratio_base" in tags
     assert "Infinity" not in rep.to_json()
+
+
+def test_cinematic_check_rejects_zs_without_a_distinct_pair(cap3):
+    # one center gives no pair of distinct indices to survey
+    with pytest.raises(ValueError, match="distinct"):
+        run_cinematic_check(cap3, 15, pairs=1)
 
 
 def test_pair_volume_all_pairs_below_separation(cap3):
