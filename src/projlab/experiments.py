@@ -346,6 +346,8 @@ def run_cinematic_check(
     fine = projmap.survey_family(chart, W, 2 * base.grid_per_axis - 1)
     for tag, r in (("base", base), ("doubled", fine)):
         mesh = 1.0 / (r.grid_per_axis - 1)
+        rep.counters[f"survey_family.grid{r.grid_per_axis}.pairs"] = r.samples
+        rep.counters[f"survey_family.grid{r.grid_per_axis}.uncertified"] = r.uncertified
         if r.uncertified:
             rep.notes.append(f"{r.uncertified} of {r.samples} pairs uncertified on the "
                              f"{r.grid_per_axis}-per-axis grid; K_est is not certified")
@@ -642,9 +644,10 @@ def _image_dimension(chart, fractal, x, k_window, tally: dict):
     """Box dimension of the fractal's image under the frame at x, counted
     by construction pieces; adds its work to `tally` (sidecar counters)."""
     B = frame_matrices(chart, np.atleast_2d(np.asarray(x, dtype=float)))[0]
-    img = fractal.points @ B.T
-    fit = sets.box_dimension(img, k_window[0], k_window[1], fractal.piece_stride(k_window[1]))
-    for name, value in (("images", 1), ("points", img.shape[0]),
+    rows, expanded = fractal.image_rows(B, k_window[1])
+    fit = sets.box_dimension(rows, k_window[0], k_window[1], fractal.size)
+    fit.pieces_expanded = expanded
+    for name, value in (("images", 1), ("points", fractal.size),
                         ("rows_keyed", fit.rows_keyed), ("pieces_expanded", fit.pieces_expanded)):
         key = f"box_dimension.{name}"
         tally[key] = tally.get(key, 0) + value
@@ -695,7 +698,7 @@ def run_projection_dimension_sweep(
     for i in range(x_samples):
         fitres = _image_dimension(chart, fractal, xs[i], k_window, rep.counters)
         estimates.append(fitres.slope)
-        rep.record(2.0 ** -k_window[1], f"x{i:03d}_image_dim", fitres.slope, samples=fractal.points.shape[0])
+        rep.record(2.0 ** -k_window[1], f"x{i:03d}_image_dim", fitres.slope, samples=fractal.size)
     est = np.array(estimates)
     frac = float(np.mean((est >= band[0]) & (est <= band[1])))
     rep.fits["in_band_fraction"] = frac
@@ -717,7 +720,7 @@ def run_projection_dimension_sweep(
 def _fractal_snapshot(fractal: FractalSet) -> dict:
     return {
         "n": fractal.n,
-        "points": int(fractal.points.shape[0]),
+        "points": int(fractal.size),
         "similarity_dim": fractal.similarity_dim,
         "cell_side": fractal.cell_side,
         "level": fractal.level,

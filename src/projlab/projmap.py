@@ -183,16 +183,18 @@ def _certificates(ff: FrameField, W: np.ndarray) -> dict:
     The least |grad_xi h| over unit xi is the least singular value of
     grad h, so the objective is |h| + sigma_min(grad h), minimized over the
     grid nodes to `raw`.  sigma_min is 1-Lipschitz in the operator norm, so
-    `raw` less the `margin` (sup|grad| + sup|Hess|) times the mesh
-    half-diagonal is a certified lower bound: a positive `certified` value
-    genuinely separates the maps.  `ratio` is certified over the C^2 norm's
-    upper estimate `norm_upper` (inf when that is 0), `c1` the C^1 norm and
-    `argmin` the grid index of the minimizing node; all are arrays over W.
+    `raw` less the `margin`, (sup|grad| + sup|Hess|) times the mesh
+    half-diagonal with each grid supremum raised by the `_c2_stats` slack
+    to bound the true one (as `_live_cells` does), is a certified lower
+    bound: a positive `certified` value genuinely separates the maps.
+    `ratio` is certified over the C^2 norm's upper estimate `norm_upper`
+    (inf when that is 0), `c1` the C^1 norm and `argmin` the grid index of
+    the minimizing node; all are arrays over W.
     """
     vals, least, sup_v, sup_g, sup_h, slack = _c2_stats(ff, W)
     objective = vals + least
     raw = objective.min(axis=-1)
-    margin = (sup_g + sup_h) * ff.half_diag
+    margin = (sup_g + sup_h + 2.0 * slack) * ff.half_diag
     certified = raw - margin
     norm_c2 = np.maximum(np.maximum(sup_v, sup_g), sup_h)
     norm_upper = norm_c2 + slack

@@ -19,14 +19,20 @@ lossy packed keys.
 
 A self-similar set is covered by the images of its construction pieces
 (Hutchinson, Indiana Univ. Math. J. 30, 1981), and so is any linear image
-of it.  `box_dimension` can take a piece stride: piece c is the rows
-points[c::stride].  A piece whose per-axis minimum and maximum fall in the
-same 2^-k_max cell lies in one cell at every k <= k_max (floor is monotone
-and scaling by 2^k is exact), so one of its rows stands for all of them;
-every row of the other pieces is keyed.  The occupied cells, and so the
-counts, are exactly those of all the rows, while only a few percent of a
-projected dust's rows are keyed.  `FractalSet.piece_stride` gives the
-stride of a `build_cantor_dust` set, whose coarsest digit varies fastest.
+of it.  A `build_cantor_dust` set keeps its construction as a `PieceTable`
+(branch offsets, ratio, level) and builds its m^level rows only when
+`.points` is read.  `FractalSet.image_rows` reduces its image under a
+linear map B to a few rows, from the table: with S the level-(level-L)
+sub-dust and o_c the origins of the m^L level-L pieces, piece c is
+o_c + r^L S, so its image lies in the box B o_c + [min B r^L S,
+max B r^L S], widened by `_PIECE_GUARD` against rounding.  A box inside
+one 2^-k_max cell lies in one cell at every k <= k_max (floor is monotone
+and scaling by 2^k is exact), so one row stands for the piece; the other
+pieces are expanded from S by the Horner steps of the construction
+itself, so their rows are the materialized rows bit for bit.  The
+occupied cells, and so the counts, are those of every row, while neither
+the m^level rows nor their image is ever formed.  Row j * m^L + c of
+`.points` is row j of piece c: the coarsest digit varies fastest.
 """
 from __future__ import annotations
 
@@ -54,6 +60,12 @@ __all__ = [
 _MAX_SCALE_EXP = 50  # beyond this, floor(x * 2^k) is no longer exact in float64
 _KEY_BITS = 62  # a Z-order cell key must stay a nonnegative int64
 _KEY_BLOCK = 1 << 16  # rows per block while building keys
+# Dust rows, piece origins and sub-dust rows lie in [-1, 1]^n and each comes
+# from a few dozen roundings of at most that size (the ratio is at most 1/2
+# whenever m >= 2, so Horner errors do not build up).  A row's image under B
+# and its piece box therefore differ by far less than 2^-40 (4,096 ulps) of
+# the row sums of |B|, the margin each box is widened by.
+_PIECE_GUARD = 2.0 ** -40
 
 
 class ScaleError(ValueError):
@@ -151,22 +163,6 @@ def _dyadic_cells(pts: np.ndarray, k_min: int, k_max: int):
         yield 1 + int(np.count_nonzero(split >= 1 << (d * (k_max - k))))
 
 
-def _piece_rows(pts: np.ndarray, stride: int, k_max: int) -> tuple[np.ndarray, int]:
-    """Rows that occupy exactly the 2^-k cells of pts at every k <= k_max,
-    and the number of pieces expanded.
-
-    Piece c is pts[c::stride].  A piece whose minimum and maximum share
-    their 2^-k_max cell on every axis is one row; the rows of every other
-    piece, including any with a NaN, are all kept.
-    """
-    d = pts.shape[1]
-    grid = pts.reshape(-1, stride, d)
-    scale = 2.0 ** k_max
-    one = np.all(np.floor(grid.min(axis=0) * scale) == np.floor(grid.max(axis=0) * scale), axis=1)
-    rest = grid[:, ~one].reshape(-1, d)
-    return np.concatenate([grid[0, one], rest]), stride - int(np.count_nonzero(one))
-
-
 def covering_number(points: np.ndarray, delta: float) -> int:
     """Number of occupied half-open dyadic cells of side delta."""
     k = scale_exponent(delta)
@@ -178,21 +174,116 @@ def covering_number(points: np.ndarray, delta: float) -> int:
 # fractal constructions
 
 
-@dataclass
+def _horner(p: np.ndarray, r: float, steps) -> np.ndarray:
+    """The construction step p <- off + r * p for each offset array of
+    `steps` in turn, broadcasting `off` against `p`."""
+    for off in steps:
+        p = off + r * p
+    return p
+
+
+@dataclass(eq=False)
+class PieceTable:
+    """The construction of a `build_cantor_dust` set: its rows are the
+    points off[d_level] + r (... + r off[d_1]) over all digit strings,
+    shifted by r^level / 2 and, with `to_ball`, by `_ball_transform`.  Row
+    j * m^L + c is row j of level-L piece c; the coarsest digit varies
+    fastest."""
+
+    offsets: np.ndarray  # (m, n) branch translations
+    ratio: float
+    level: int
+    to_ball: bool
+    _frames: dict = field(default_factory=dict, init=False, repr=False)  # L -> `_frame(L)`
+
+    def _grow(self, depth: int) -> np.ndarray:
+        """All rows of the depth-`depth` construction from the origin, not
+        yet shifted; step t broadcasts the offsets along axis t."""
+        m, n = self.offsets.shape
+        # a single branch needs no axis of its own
+        axes = [(m,) + (1,) * (depth - 1 - t) if m > 1 else () for t in range(depth)]
+        steps = [self.offsets.reshape(a + (n,)) for a in axes]
+        return _horner(np.zeros(n), self.ratio, steps).reshape(-1, n)
+
+    def _shift(self, p: np.ndarray) -> np.ndarray:
+        p = p + (self.ratio ** self.level) / 2.0
+        return _ball_transform(p, p.shape[-1]) if self.to_ball else p
+
+    def points(self) -> np.ndarray:
+        return self._shift(self._grow(self.level))
+
+    def _frame(self, L: int):
+        """Shifted origins of the level-L pieces, the sub-dust S of level
+        level - L scaled as it sits in a piece, and S itself."""
+        if L not in self._frames:
+            sub = self._grow(self.level - L)
+            side = 0.98 / math.sqrt(sub.shape[1]) if self.to_ball else 1.0
+            self._frames[L] = (self._shift(self._grow(L)), sub * (self.ratio ** L * side), sub)
+        return self._frames[L]
+
+    def expand(self, pieces: np.ndarray, L: int) -> np.ndarray:
+        """Rows of the level-L pieces `pieces` (row j * len(pieces) + i is
+        row j of pieces[i]): S followed by each piece's L Horner steps, the
+        finest digit first, so the rows equal those of `points` bit for bit."""
+        m, n = self.offsets.shape
+        steps = [self.offsets[pieces // m ** (L - 1 - t) % m] for t in range(L)]
+        return self._shift(_horner(self._frame(L)[2][:, None, :], self.ratio, steps).reshape(-1, n))
+
+    def _boxes(self, B: np.ndarray, k_max: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+        """Which level-L pieces have an image box, widened by the guard,
+        inside one 2^-k_max cell (False for a non-finite box), and each
+        box's lower corner."""
+        origins, sub, _ = self._frame(L)
+        spread = sub @ B.T
+        guard = _PIECE_GUARD * np.abs(B).sum(axis=1)
+        lo = origins @ B.T
+        hi = lo + (spread.max(axis=0) + guard)
+        lo += spread.min(axis=0) - guard
+        scale = 2.0 ** k_max
+        return np.all(np.floor(lo * scale) == np.floor(hi * scale), axis=1), lo
+
+    def image_rows(self, B: np.ndarray, k_max: int, L: int) -> tuple[np.ndarray, int]:
+        """Rows in exactly the 2^-k cells of points @ B.T at every
+        k <= k_max, and the number of level-L pieces expanded: the lower
+        corner of each one-cell box, every row of the other pieces."""
+        one, lo = self._boxes(B, k_max, L)
+        spill = np.flatnonzero(~one)
+        return np.concatenate([lo[one], self.expand(spill, L) @ B.T]), spill.size
+
+
 class FractalSet:
     """Finite approximation of a self-similar set with its natural measure.
 
     Points are level-cell centers; the natural measure puts equal weight on
     each point.  similarity_dim is the exact exponent of the construction,
-    cell_side the final cell scale after any rescaling into B(0, 1/2).
+    cell_side the final cell scale after any rescaling into B(0, 1/2).  A
+    set with a piece table builds `points` from it when first read.
     """
 
-    n: int
-    points: np.ndarray
-    similarity_dim: float
-    cell_side: float
-    level: int
-    generator: dict = field(default_factory=dict)
+    def __init__(self, n: int, points: np.ndarray | None, similarity_dim: float,
+                 cell_side: float, level: int, generator: dict | None = None,
+                 pieces: PieceTable | None = None):
+        if (points is None) == (pieces is None):
+            raise ValueError("a fractal set needs exactly one of points and a piece table")
+        self.n = n
+        self.similarity_dim = similarity_dim
+        self.cell_side = cell_side
+        self.level = level
+        self.generator = {} if generator is None else generator
+        self.pieces = pieces
+        if points is not None:
+            self.points = points
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        return self.pieces.points()
+
+    @property
+    def size(self) -> int:
+        """Number of points, read without building them."""
+        if self.pieces is not None:
+            return self.pieces.offsets.shape[0] ** self.pieces.level
+        return self.points.shape[0]
 
     def thin_to_scale(self, delta: float) -> np.ndarray:
         """One representative point per delta-cell (a delta-net of the set)."""
@@ -204,24 +295,38 @@ class FractalSet:
         # unique's return_index gives each cell's first point
         return pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]
 
-    def piece_stride(self, k_max: int) -> int | None:
-        """Row stride m^L of the level-L construction pieces for counting
-        cells down to 2^-k_max, or None when the rows are not a
-        `build_cantor_dust` construction.
+    def _piece_level(self, k_max: int) -> int | None:
+        """Level L of the construction pieces for counting cells down to
+        2^-k_max, or None without a piece table.
 
         L is the smallest level whose pieces have diameter at most
         2^-(k_max+6), so few of them straddle a cell face, capped below
         `level` so a piece keeps more than one point.
         """
-        m, r = self.generator.get("m"), self.generator.get("ratio")
-        if m is None or r is None or self.level < 2 or self.points.shape[0] != m ** self.level:
+        if self.pieces is None or self.level < 2 or self.pieces.offsets.shape[0] < 2:
             return None
+        r = self.pieces.ratio
         # diameter of a level-0 piece: the whole construction cube
         top = self.cell_side * math.sqrt(self.n) / r ** self.level
         L = 1
         while L < self.level - 1 and top * r ** L > 2.0 ** -(k_max + 6):
             L += 1
-        return m ** L
+        return L
+
+    def piece_stride(self, k_max: int) -> int | None:
+        """Rows m^L between consecutive rows of one level-L piece (see
+        `_piece_level`), or None without a piece table."""
+        L = self._piece_level(k_max)
+        return None if L is None else self.pieces.offsets.shape[0] ** L
+
+    def image_rows(self, B: np.ndarray, k_max: int) -> tuple[np.ndarray, int]:
+        """Rows that occupy exactly the 2^-k cells of points @ B.T at every
+        k <= k_max, and the number of construction pieces expanded row by
+        row.  Without a piece table these are all of points @ B.T."""
+        L = self._piece_level(k_max)
+        if L is None:
+            return self.points @ B.T, 0
+        return self.pieces.image_rows(B, k_max, L)
 
 
 def _ball_transform(points: np.ndarray, n: int) -> np.ndarray:
@@ -299,22 +404,18 @@ def build_cantor_dust(
     if branches ** level > 100_000_000:
         raise ValueError(f"{branches}^{level} points exceed the 1e8 construction cap")
     _check_disjoint(offsets, r)
-    pts = np.zeros((1, n))
-    for _ in range(level):
-        pts = (offsets[None, :, :] + r * pts[:, None, :]).reshape(-1, n)
-    pts = pts + (r ** level) / 2.0
     cell = r ** level
     if scale_to_ball:
-        pts = _ball_transform(pts, n)
         cell *= 0.98 / math.sqrt(n)
     dim = 0.0 if branches == 1 else math.log(branches) / math.log(1.0 / r)
     return FractalSet(
         n=n,
-        points=pts,
+        points=None,
         similarity_dim=dim,
         cell_side=cell,
         level=level,
         generator={"m": branches, "ratio": r, "placement": placement},
+        pieces=PieceTable(offsets, r, level, scale_to_ball),
     )
 
 
@@ -382,18 +483,18 @@ class BoxCountFit:
     excluded: list[int]
     warning: str | None = None
     rows_keyed: int = 0  # rows given a cell key
-    pieces_expanded: int = 0  # pieces keyed row by row
+    pieces_expanded: int = 0  # pieces keyed row by row (`FractalSet.image_rows`)
 
 
 def box_dimension(points: np.ndarray, k_min: int, k_max: int,
-                  stride: int | None = None) -> BoxCountFit:
+                  n_points: int | None = None) -> BoxCountFit:
     """Least-squares slope of log2 N(2^-k) against k over [k_min, k_max].
 
     Scales where the covering count saturates (approaches the raw point
-    count, or stops growing) are excluded from the fit and reported.  With
-    a `stride` that divides the row count, cells are counted from the
-    pieces points[c::stride] (see the module docstring); the counts are
-    those of every row.
+    count, or stops growing) are excluded from the fit and reported.  The
+    rows may stand for a larger set of `n_points` points occupying the same
+    cells at every k <= k_max (see `FractalSet.image_rows`); saturation is
+    judged against that count.
     """
     if k_max - k_min < 3:
         raise ScaleError("need at least four scales: k_max - k_min >= 3")
@@ -403,12 +504,8 @@ def box_dimension(points: np.ndarray, k_min: int, k_max: int,
     if pts.shape[0] == 0:
         raise ValueError("cannot fit a dimension to an empty set")
     ks = list(range(k_min, k_max + 1))
-    n_pts = pts.shape[0]
-    rows, expanded = pts, 0
-    if stride is not None and n_pts % stride == 0:
-        rows, expanded = _piece_rows(pts, stride, k_max)
-    counts = list(_dyadic_cells(rows, k_min, k_max))
-    work = {"rows_keyed": rows.shape[0], "pieces_expanded": expanded}
+    n_pts = pts.shape[0] if n_points is None else n_points
+    counts = list(_dyadic_cells(pts, k_min, k_max))
     warning = None
     cut = len(ks)
     for i, c in enumerate(counts):
@@ -431,7 +528,7 @@ def box_dimension(points: np.ndarray, k_min: int, k_max: int,
         if len(set(counts)) == 1:
             # a single occupied cell at every scale: dimension zero exactly
             return BoxCountFit(0.0, math.log2(counts[0]), 1.0, ks, counts,
-                               np.zeros(len(ks)), [], None, **work)
+                               np.zeros(len(ks)), [], None, rows_keyed=pts.shape[0])
         raise ScaleError("fewer than two usable scales after saturation exclusion")
     fit = fit_line(np.array(kept_ks, dtype=float), np.log2(kept_counts))
     return BoxCountFit(
@@ -443,7 +540,7 @@ def box_dimension(points: np.ndarray, k_min: int, k_max: int,
         residuals=fit.residuals,
         excluded=excluded,
         warning=warning,
-        **work,
+        rows_keyed=pts.shape[0],
     )
 
 

@@ -135,10 +135,16 @@ def test_cinematic_check_marks_an_uncertified_survey(cap3):
     assert rep.fits["K_est"] is None
     assert rep.checks["K_drift"] is None
     assert rep.checks["K_stable"] is False
-    assert any("pairs uncertified on the 5-per-axis grid" in note for note in rep.notes)
+    # the sidecar counts each grid's survey; the report names the same counts
+    c = rep.counters
+    assert set(c) == {f"survey_family.grid{g}.{k}" for g in (5, 9) for k in ("pairs", "uncertified")}
+    assert c["survey_family.grid5.pairs"] == c["survey_family.grid9.pairs"] > 0
+    assert 0 < c["survey_family.grid5.uncertified"] <= c["survey_family.grid5.pairs"]
+    assert (f"{c['survey_family.grid5.uncertified']} of {c['survey_family.grid5.pairs']} "
+            "pairs uncertified on the 5-per-axis grid") in rep.notes[0]
     tags = {m["quantity"] for m in rep.measurements}
     assert "K_est_base" not in tags and "min_certified_ratio_base" in tags
-    assert "Infinity" not in rep.to_json()
+    assert "Infinity" not in rep.to_json() and "survey_family" not in rep.to_json()
 
 
 def test_cinematic_check_rejects_zs_without_a_distinct_pair(cap3):

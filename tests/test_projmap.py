@@ -186,6 +186,22 @@ def test_certificate_minimizes_over_xi_exactly(n):
     np.testing.assert_allclose(cert["raw"], (vals + least).min(axis=-1), rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_certificate_margin_bounds_the_true_suprema(cap3, n):
+    # the grid maxima of |grad h| and of the Hessian form can fall short of
+    # the suprema between nodes; each is raised by the `_c2_stats` slack,
+    # the bound the live-cell test also uses
+    chart = cap3 if n == 3 else CapChart(4, 0.6)
+    ff = projmap._field(chart, None)
+    W = sample_ball(rng_stream(18, n), n, 6, 0.5)
+    cert = projmap._certificates(ff, W)
+    for w, margin in zip(W, cert["margin"]):
+        c2 = c2_distance(chart, w)
+        assert c2.slack > 0.0
+        upper = (c2.sup_gradient + c2.slack) + (c2.sup_hessian + c2.slack)
+        assert margin >= upper * ff.half_diag * (1.0 - 1e-12)
+
+
 def test_family_survey_certifies_every_pair(cap3):
     zs = sample_ball(rng_stream(9, 1), 3, 600, 0.5)
     W = zs[:300] - zs[300:]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from projlab.sets import (
     spread_delta_s_set,
 )
 from projlab.manifold import CapChart, frame_matrices
-from projlab.sets import _dyadic_cells, _morton_keys, _piece_rows
+from projlab.experiments import _image_dimension
+from projlab.sets import _branch_offsets, _dyadic_cells, _morton_keys
 from projlab.util import rng_stream
 
 MIDDLE_THIRD_DIM = math.log(2.0) / math.log(3.0)
@@ -292,11 +294,80 @@ def test_dimension_estimates_track_similarity_dimension():
 # -- counting by construction pieces ----------------------------------------
 
 
-def projected_images(fr, count, seed):
-    """Images of a dust under the frames of the n = 3 cap at random x."""
+def construction_loop(n, m, r, level, placement, scale_to_ball):
+    """The dust's rows as the construction loop builds them, one level at a
+    time, the newest (coarsest) digit varying fastest."""
+    offsets = _branch_offsets(n, m, r, placement)
+    pts = np.zeros((1, n))
+    for _ in range(level):
+        pts = (offsets[None, :, :] + r * pts[:, None, :]).reshape(-1, n)
+    pts = pts + (r**level) / 2.0
+    if scale_to_ball:
+        pts = (pts - 0.5) * (0.98 / math.sqrt(n))
+    return pts
+
+
+@pytest.mark.parametrize("scale_to_ball", [True, False])
+@pytest.mark.parametrize("n, m, r, level, placement", [
+    (3, 2, 0.3, 9, "axis"), (3, 4, 2.0**-2.5, 7, "planar"), (3, 2, 0.3, 9, "diagonal"),
+    (3, 2, 0.25, 5, "product"), (1, 2, 1.0 / 3.0, 12, "axis"), (3, 1, 0.5, 5, "axis"),
+])
+def test_points_equal_the_construction_loop(n, m, r, level, placement, scale_to_ball):
+    fr = build_cantor_dust(n, m, r, level, placement=placement, scale_to_ball=scale_to_ball)
+    assert fr.size == fr.pieces.offsets.shape[0] ** level
+    assert "points" not in vars(fr)
+    ref = construction_loop(n, m, r, level, placement, scale_to_ball)
+    assert fr.points.shape == ref.shape and np.array_equal(fr.points, ref)
+    # every level-L piece expanded from the sub-dust is the same rows, bit for bit
+    for L in range(1, level):
+        stride = fr.pieces.offsets.shape[0] ** L
+        rows = fr.pieces.expand(np.arange(stride), L)
+        assert np.array_equal(rows, ref)
+        picked = np.arange(stride)[1::3]
+        assert np.array_equal(fr.pieces.expand(picked, L),
+                              ref.reshape(-1, stride, n)[:, picked].reshape(-1, n))
+
+
+def frames(count, seed):
+    """Frames of the n = 3 cap at random x."""
     cap = CapChart(3, 0.6)
-    B = frame_matrices(cap, rng_stream(seed, 0).random((count, cap.dim)))
-    return [fr.points @ b.T for b in B]
+    return frame_matrices(cap, rng_stream(seed, 0).random((count, cap.dim)))
+
+
+def face_frames(fr, b, k_max, seed, tries=6, ulps=8):
+    """Multiples of frame b that carry the extreme row of a piece, along
+    one image axis, across a 2^-k_max cell face in steps of one ulp: where a
+    piece box and its rows are rounded apart, only the guard keeps the box
+    honest."""
+    img = fr.points @ b.T
+    stride = fr.piece_stride(k_max)
+    rng = rng_stream(seed, 1)
+    out = []
+    for c, axis in zip(rng.integers(0, stride, tries), rng.integers(0, b.shape[0], tries)):
+        v = img[c::stride, axis].max()
+        face = (math.floor(v * 2.0**k_max) + 1.0) * 2.0**-k_max
+        for t in range(-ulps, ulps + 1):
+            out.append(b * (face / v * (1.0 + t * 2.0**-52)))
+    return out
+
+
+@pytest.mark.parametrize("placement, level", [("planar", 7), ("axis", 9), ("diagonal", 9)])
+def test_one_cell_pieces_lie_in_their_cell(placement, level):
+    m = 4 if placement == "planar" else 2
+    fr = build_cantor_dust(3, m, 2.0**-2.5 if m == 4 else 0.3, level, placement=placement)
+    k_max = 10
+    L = fr._piece_level(k_max)
+    stride = fr.piece_stride(k_max)
+    scale = 2.0**k_max
+    ones = 0
+    for i, b in enumerate(frames(4, 30 + level)):
+        for B in [b, *face_frames(fr, b, k_max, i)]:
+            one, lo = fr.pieces._boxes(B, k_max, L)
+            cells = np.floor((fr.points @ B.T).reshape(-1, stride, B.shape[0]) * scale)
+            assert np.array_equal(cells[:, one], np.broadcast_to(
+                np.floor(lo[one] * scale), cells[:, one].shape))
+            ones += int(np.count_nonzero(one))
+    assert ones > 0
 
 
 @pytest.mark.parametrize("placement, level", [("planar", 7), ("axis", 9), ("diagonal", 9)])
@@ -304,19 +375,24 @@ def test_piece_counts_equal_full_keying_at_every_scale(placement, level):
     m = 4 if placement == "planar" else 2
     fr = build_cantor_dust(3, m, 2.0**-2.5 if m == 4 else 0.3, level, placement=placement)
     straddled = 0
-    for img in projected_images(fr, 4, 30 + level):
+    for b in frames(4, 30 + level):
+        img = fr.points @ b.T
         for k_min, k_max in [(0, 6), (4, 10), (7, 13)]:
-            full = list(_dyadic_cells(img, k_min, k_max))
-            for stride in {m, m**3, m ** (level - 1), fr.piece_stride(k_max)}:
-                rows, expanded = _piece_rows(img, stride, k_max)
-                assert list(_dyadic_cells(rows, k_min, k_max)) == full
-                fit = box_dimension(img, k_min, k_max, stride)
-                ref = box_dimension(img, k_min, k_max)
-                assert (fit.scales, fit.counts, fit.excluded, fit.slope, fit.warning) == (
-                    ref.scales, ref.counts, ref.excluded, ref.slope, ref.warning)
-                assert (fit.rows_keyed, fit.pieces_expanded) == (rows.shape[0], expanded)
-                assert ref.rows_keyed == img.shape[0]
-                # some pieces one row each, the others keyed row by row
+            ref = box_dimension(img, k_min, k_max)
+            assert ref.rows_keyed == img.shape[0]
+            for L in {1, 3, level - 1, fr._piece_level(k_max)}:
+                stride = m**L
+                rows, expanded = fr.pieces.image_rows(b, k_max, L)
+                fit = box_dimension(rows, k_min, k_max, fr.size)
+                assert (fit.scales, fit.counts, fit.excluded, fit.slope, fit.intercept,
+                        fit.r2, fit.warning) == (ref.scales, ref.counts, ref.excluded,
+                                                 ref.slope, ref.intercept, ref.r2, ref.warning)
+                assert np.array_equal(fit.residuals, ref.residuals)
+                # one row per one-cell piece, every row of the others; at
+                # least the pieces whose rows straddle a cell are expanded
+                assert fit.rows_keyed == stride - expanded + expanded * (fr.size // stride)
+                cells = np.floor(img.reshape(-1, stride, 2) * 2.0**k_max)
+                assert expanded >= np.count_nonzero(np.any(cells != cells[:1], axis=(0, 2)))
                 straddled += 0 < expanded < stride
     assert straddled >= 6
 
@@ -335,38 +411,59 @@ def test_piece_stride_is_derived_from_the_construction():
 
 def test_piece_counting_still_rejects_non_finite_rows():
     fr = build_cantor_dust(3, 4, 2.0**-2.5, 6, placement="planar")
-    stride = fr.piece_stride(10)
+    b = frames(1, 41)[0]
     for bad in (np.nan, np.inf, -np.inf):
-        img = projected_images(fr, 1, 41)[0]
-        img[stride + 5, 1] = bad
-        with pytest.raises(ScaleError):
-            box_dimension(img, 4, 10, stride)
-        # a piece whose every row is infinite lies in "one cell" but still raises
-        img[5::stride] = bad
-        with pytest.raises(ScaleError):
-            box_dimension(img, 4, 10, stride)
+        for entry in [(0, 1), (1, 2), (slice(None), slice(None))]:
+            B = b.copy()
+            B[entry] = bad
+            with np.errstate(invalid="ignore"):
+                rows, _ = fr.image_rows(B, 10)
+            with pytest.raises(ScaleError):
+                box_dimension(rows, 4, 10, fr.size)
 
 
 def test_piece_counting_saturates_against_every_point():
     fr = build_cantor_dust(3, 4, 2.0**-2.5, 6, placement="planar")
-    img = projected_images(fr, 1, 42)[0]
-    fit = box_dimension(img, 6, 12, fr.piece_stride(12))
+    b = frames(1, 42)[0]
+    rows, _ = fr.image_rows(b, 12)
+    fit = box_dimension(rows, 6, 12, fr.size)
     # N(2^-12) exceeds 0.45 of the keyed rows but not 0.45 of all 4096 points
-    assert 0.45 * fit.rows_keyed < fit.counts[-1] <= 0.45 * img.shape[0]
+    assert 0.45 * fit.rows_keyed < fit.counts[-1] <= 0.45 * fr.size
     assert fit.scales[-1] == 12 and fit.warning is None
-    assert fit.counts == box_dimension(img, 6, 12).counts
+    assert fit.counts == box_dimension(fr.points @ b.T, 6, 12).counts
 
 
-def test_product_fractals_and_odd_strides_take_the_full_path():
+def test_sets_without_a_piece_table_take_the_full_path():
     pair = product_fractal([("cantor", 2, 0.25, 8), ("uniform", 64)])
-    assert pair.piece_stride(10) is None
-    fit = box_dimension(pair.points, 3, 10, pair.piece_stride(10))
-    ref = box_dimension(pair.points, 3, 10)
-    assert fit.counts == ref.counts and fit.rows_keyed == pair.points.shape[0]
-    # a stride that does not divide the row count keys every row
-    odd = box_dimension(pair.points, 3, 10, 3)
-    assert odd.counts == ref.counts
-    assert (odd.rows_keyed, odd.pieces_expanded) == (pair.points.shape[0], 0)
+    dust = build_cantor_dust(3, 4, 2.0**-2.5, 6, placement="planar")
+    plain = FractalSet(n=3, points=dust.points, similarity_dim=0.8, cell_side=1.0, level=6)
+    b = frames(1, 43)[0]
+    for fr in (pair, plain):
+        assert fr.pieces is None and fr.piece_stride(10) is None
+        rows, expanded = fr.image_rows(b[:, : fr.n], 10)
+        assert expanded == 0 and np.array_equal(rows, fr.points @ b[:, : fr.n].T)
+    with pytest.raises(ValueError, match="exactly one"):
+        FractalSet(n=3, points=None, similarity_dim=0.8, cell_side=1.0, level=6)
+
+
+def test_dust_and_its_image_counts_stay_small_in_memory(cap3):
+    x = rng_stream(44, 0).random((3, cap3.dim))
+    tracemalloc.start()
+    try:
+        dust = build_cantor_dust(3, 4, 2.0**-2.5, 10, placement="planar")
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        tally = {}
+        fits = [_image_dimension(cap3, dust, xi, (4, 10), tally) for xi in x]
+        counted = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 1,048,576 rows alone take 24 MiB and one image of them 16 MiB
+    assert built < 2**20
+    assert counted < 4 * 2**20
+    assert "points" not in vars(dust)
+    assert tally["box_dimension.points"] == 3 * 4**10
+    assert all(abs(f.slope - 0.8) < 0.1 for f in fits)
 
 
 # -- spread sets ------------------------------------------------------------
