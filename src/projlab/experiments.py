@@ -520,7 +520,8 @@ def run_cone_incidence(
         seed,
         tolerances={"slope": tol, "max_points": 2, "max_components": 2},
     )
-    lines = cones.make_transversal_lines(chart, a, sweep_lines, rng_stream(seed, 401))
+    search: dict = {}  # the line searches' work, sidecar only
+    lines = cones.make_transversal_lines(chart, a, sweep_lines, rng_stream(seed, 401), search)
     slopes = []
     ratios = []
     bad_fit = 0
@@ -573,7 +574,7 @@ def run_cone_incidence(
     rep.checks["low_r2_lines"] = bad_fit
     slope_ok = bool(np.all(np.abs(slopes - n) <= tol))
 
-    check = cones.make_transversal_lines(chart, a, check_lines, rng_stream(seed, 403))
+    check = cones.make_transversal_lines(chart, a, check_lines, rng_stream(seed, 403), search)
     point_violations = 0
     comp_violations = 0
     for j, (line, cuts) in enumerate(check):
@@ -586,6 +587,7 @@ def run_cone_incidence(
     rep.counters = {f"line_cone_tube_volume.{k}": v for k, v in tally.items()}
     rep.counters["line_cone_tube_volume.min_hits"] = min_hits
     rep.counters["line_cone_points.dropped"] = dropped
+    rep.counters.update(search)
     rep.checks["point_violations"] = point_violations
     rep.checks["component_violations"] = comp_violations
     rep.record(component_delta, "point_violations", point_violations, samples=check_lines)

@@ -22,8 +22,10 @@ from projlab.cone import (
 from projlab.cone import (
     _bracket,
     _complement_basis,
+    _cut_lines,
     _polish_root,
     _radial_defect,
+    _signed_nearest,
     _tube_nodes,
     _tube_volume_exact,
 )
@@ -154,6 +156,51 @@ def test_unconverged_rows_are_flagged():
     assert (~conv1).any()
     # a row flagged converged after one step is already at the answer
     assert np.abs(x1[conv1] - x24[conv1]).max(initial=0.0) <= 1e-9
+
+
+@pytest.mark.parametrize("chart", [
+    CapChart(3, 0.6), CapChart(4, 0.6), CapChart(3, -0.6),
+    PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0),
+    PerturbedCapChart(4, 0.6, amplitude=0.005, frequency=2.0),
+], ids=["cap3", "cap4", "cap3-below", "perturbed3", "perturbed4"])
+def test_cosine_bound_is_an_upper_bound(chart):
+    dirs = _unit_rows(20_000, chart.n, 50 + chart.n)
+    bound = chart.cosine_bound(dirs)
+    # blocks keep the n = 4 seed-grid products small
+    for i in range(0, dirs.shape[0], 2_000):
+        cosine = nearest_direction(chart, dirs[i : i + 2_000], iters=200)[1]
+        assert (bound[i : i + 2_000] >= cosine - 1e-15).all()
+    assert np.isinf(chart.dual().cosine_bound(dirs)).all()
+
+
+def both_signs_nearest(chart, d):
+    """_signed_nearest as it was before the cosine bound: +d and -d in one
+    `nearest_direction` batch, -d taken where it wins strictly."""
+    m = d.shape[0]
+    x, cosine, _ = nearest_direction(chart, np.concatenate([d, -d]))
+    neg = cosine[m:] > cosine[:m]
+    return (np.where(neg[:, None], x[m:], x[:m]), np.where(neg, cosine[m:], cosine[:m]),
+            np.where(neg, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("chart", [
+    CapChart(3, 0.6), CapChart(4, 0.6), CapChart(3, -0.6),
+    PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0),
+    PerturbedCapChart(4, 0.6, amplitude=0.005, frequency=2.0),
+], ids=["cap3", "cap4", "cap3-below", "perturbed3", "perturbed4"])
+def test_bounded_signed_nearest_equals_both_signs(chart):
+    rng = rng_stream(31, chart.n)
+    count = 2_000
+    # directions near +-Sigma, where the -d copy matters most
+    x = rng.random((count, chart.dim))
+    near = np.where(rng.random(count) < 0.5, 1.0, -1.0)[:, None] * chart.point(x)
+    near += 0.05 * rng.standard_normal(near.shape) * rng.random((count, 1))
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    for d in (_unit_rows(count, chart.n, 60 + chart.n), near):
+        got, ref = _signed_nearest(chart, d), both_signs_nearest(chart, d)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+        assert (got[2] < 0).any() and (got[2] > 0).any()
 
 
 def test_tangent_plane_matches_surface_tangent(cap3):
@@ -305,6 +352,82 @@ def test_transversal_lines_carry_their_fresh_cuts(cap3):
         assert len(cuts) == len(fresh)
         assert np.abs(np.array(cuts) - np.array(fresh)).max() <= 1e-10
         assert cuts.angles == [tangent_plane_angle(cap3, c, line) for c in cuts]
+
+
+def candidate_loop(chart, a, count, rng):
+    """make_transversal_lines as it was before the draw-time test: every
+    candidate is cut alone, and its angles are read at its cuts."""
+    out = []
+    tries = 0
+    while len(out) < count and tries < 50 * count:
+        tries += 1
+        x = rng.uniform(0.05, 0.95, size=(2, chart.dim))
+        r = rng.uniform(0.35, 0.9, size=2)
+        p, q = r[:, None] * chart.point(x)
+        if float(np.linalg.norm(p - q)) < 0.2:
+            continue
+        line = LineSegment.through(p, q, pad=0.15)
+        try:
+            cuts = line_cone_points(chart, line, grid=4000)
+        except GeneratrixError:
+            continue
+        if not cuts:
+            continue
+        angles = []
+        for c in cuts:
+            if float(np.linalg.norm(c)) < 0.05:
+                break
+            angles.append(tangent_plane_angle(chart, c, line))
+        else:
+            if angles and min(angles) >= a:
+                cuts.angles = angles
+                out.append((line, cuts))
+    return out
+
+
+@pytest.mark.parametrize("chart", [
+    CapChart(3, 0.6), CapChart(4, 0.6), PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0),
+], ids=["cap3", "cap4", "perturbed3"])
+def test_draw_test_keeps_the_candidate_loop(chart):
+    tally = {}
+    for seed in range(20):
+        got = make_transversal_lines(chart, 0.3, 2, rng_stream(32, seed), tally)
+        ref = candidate_loop(chart, 0.3, 2, rng_stream(32, seed))
+        assert len(got) == len(ref) == 2
+        for (line, cuts), (ref_line, ref_cuts) in zip(got, ref):
+            assert np.array_equal(line.base, ref_line.base)
+            assert np.array_equal(line.direction, ref_line.direction)
+            assert (line.t0, line.t1) == (ref_line.t0, ref_line.t1)
+            assert np.array_equal(np.array(cuts), np.array(ref_cuts))
+            assert cuts.dropped == ref_cuts.dropped and cuts.angles == ref_cuts.angles
+    # the draw test did reject candidates, and those were never cut
+    assert tally["make_transversal_lines.rejected_by_draw"] > 0
+    assert (tally["make_transversal_lines.cut"] + tally["make_transversal_lines.rejected_by_draw"]
+            <= tally["make_transversal_lines.candidates"])
+
+
+def test_batched_cuts_equal_one_line_calls(cap3, monkeypatch):
+    import projlab.cone as cone_module
+
+    r = rng_stream(24, 5)
+    lines = []
+    while len(lines) < 12:
+        x = r.uniform(0.05, 0.95, (2, 1))
+        p, q = r.uniform(0.35, 0.9, 2)[:, None] * cap3.point(x)
+        if float(np.linalg.norm(p - q)) >= 0.2:
+            lines.append(LineSegment.through(p, q, pad=0.15))
+    generatrix = LineSegment(np.zeros(3), cap3.point(np.array([[0.3]]))[0], -1.0, 1.0)
+    lines.insert(5, generatrix)
+    alone = [line_cone_points(cap3, line, grid=4000) for line in lines if line is not generatrix]
+    # passes of 3 lines, so the split across passes is tested too
+    monkeypatch.setattr(cone_module, "_CUT_ROWS", 3 * 4000)
+    batched = _cut_lines(cap3, lines, 4000)
+    assert batched.pop(5) is None
+    assert sum(len(c) for c in alone) > len(alone)
+    for got, ref in zip(batched, alone, strict=True):
+        assert len(got) == len(ref) and got.dropped == ref.dropped == 0
+        if len(ref):
+            assert np.array_equal(np.array(got), np.array(ref))
 
 
 def test_tube_volume_reads_carried_angles(cap3, monkeypatch):

@@ -237,6 +237,17 @@ def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypa
         cut_lists.extend(cuts for _, cuts in found)
         return found
 
+    # the line searches cut every line they build that passes the draw test
+    cut_lines, through, built, cut = cones._cut_lines, cones.LineSegment.through, [], []
+
+    def recorded_cut(cone, lines, grid):
+        cut.extend(lines)
+        return cut_lines(cone, lines, grid)
+
+    def recorded_through(cls, *args, **kwargs):
+        built.append(through(*args, **kwargs))
+        return built[-1]
+
     polish = cones._polish_root
 
     # loses the far cut of every secant, so every line drops a root
@@ -246,7 +257,10 @@ def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypa
     monkeypatch.setattr(cones, "line_cone_tube_volume", recorded_tube)
     monkeypatch.setattr(cones, "make_transversal_lines", recorded_lines)
     monkeypatch.setattr(cones, "_polish_root", far_half_fails)
-    rep = run_cone_incidence(cap3, 5, sweep_lines=2, check_lines=3,
+    monkeypatch.setattr(cones, "_cut_lines", recorded_cut)
+    monkeypatch.setattr(cones.LineSegment, "through", classmethod(recorded_through))
+    # a = 0.45 makes the draw test reject candidates
+    rep = run_cone_incidence(cap3, 5, a=0.45, sweep_lines=2, check_lines=3,
                              deltas=(2.0**-5, 2.0**-6), samples=4000)
     stamp = "20260101T000000Z"
     rep.write(tmp_path / "with", timestamp=stamp)
@@ -263,9 +277,15 @@ def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypa
         "line_cone_tube_volume.certified_hits": sum(r.certified_hits for r in reports),
         "line_cone_tube_volume.min_hits": min(r.hits for r in reports),
         "line_cone_points.dropped": sum(c.dropped for c in cut_lists),
+        "make_transversal_lines.candidates": meta["counters"]["make_transversal_lines.candidates"],
+        "make_transversal_lines.rejected_by_draw": len(built) - len(cut),
+        "make_transversal_lines.cut": len(cut),
     }
     assert 0 < meta["counters"]["line_cone_tube_volume.certified_hits"] < sum(
         r.hits for r in reports)
+    # some build was rejected from its draw alone, and every candidate drew
+    # a line unless its two points lay too close
+    assert len(cut) < len(built) <= meta["counters"]["make_transversal_lines.candidates"]
 
 
 def test_cone_incidence_keeps_empty_tubes_out_of_the_fit(cap3):
