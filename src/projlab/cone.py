@@ -173,12 +173,11 @@ def _refine_brackets(f, lo, hi, flo, fhi) -> np.ndarray:
     """Roots of f in the sign-change brackets [lo, hi], all refined together
     by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
 
-    Each step (at most _BRACKET_STEPS) makes one batched call f(t, live)
-    with the trial points t of the brackets still at least
-    tol = _BRACKET_TOL wide and the indices `live` of those brackets.  An
-    endpoint kept twice in a row has its value halved, so both ends keep
-    moving; trial points stay tol/4 inside the bracket, so a root within
-    tol/4 of an end collapses it.  Returns the bracket midpoints.
+    Each step (at most _BRACKET_STEPS) makes one batched call f(t) on the
+    brackets still at least tol = _BRACKET_TOL wide.  An endpoint kept twice
+    in a row has its value halved, so both ends keep moving; trial points
+    stay tol/4 inside the bracket, so a root within tol/4 of an end
+    collapses it.  Returns the bracket midpoints.
     """
     tol = _BRACKET_TOL
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -190,7 +189,7 @@ def _refine_brackets(f, lo, hi, flo, fhi) -> np.ndarray:
             break
         a, b, fa, fb, k = lo[live], hi[live], flo[live], fhi[live], kept[live]
         m = np.clip(b - fb * (b - a) / (fb - fa), a + 0.25 * tol, b - 0.25 * tol)
-        fm = np.asarray(f(m, live), dtype=float)
+        fm = np.asarray(f(m), dtype=float)
         zero = fm == 0.0
         up = ~zero & (np.sign(fm) == np.sign(fa))  # the root lies in [m, b]
         down = ~zero & ~up
@@ -246,76 +245,38 @@ def line_cone_points(
     refines all brackets together to width _BRACKET_TOL, then polishes each
     root on the full system line(t) = r*Sigma(x) and keeps roots with
     on-surface residual below 1e-10.  Segments lying inside a generatrix
-    are rejected.  The work is `_cut_lines` on this one line.
+    are rejected.
     """
-    cuts = _cut_lines(chart, [line], grid)[0]
-    if cuts is None:
-        raise GeneratrixError("segment lies along a single generatrix direction")
-    return cuts
-
-
-# Grid rows of one `_cut_pass`: a round of a large line search (C4 cuts up
-# to 1,000 candidates at once) is split into passes of this many rows.
-_CUT_ROWS = 262_144
-
-
-def _cut_lines(chart: ManifoldChart, lines: list[LineSegment], grid: int):
-    """`line_cone_points` of every line, None for a segment along a
-    generatrix, in passes of at most _CUT_ROWS grid rows."""
-    per_pass = max(1, _CUT_ROWS // grid)
-    out: list[Cuts | None] = []
-    for i in range(0, len(lines), per_pass):
-        out.extend(_cut_pass(chart, lines[i : i + per_pass], grid))
-    return out
-
-
-def _cut_pass(chart: ManifoldChart, lines: list[LineSegment], grid: int):
-    """The cuts of a few lines from one `_radial_defect` call over all their
-    grids and one `_refine_brackets` over all their brackets; each root is
-    then polished on its own line.  Every step is row by row, so a line
-    gets the same cuts as when it is cut alone."""
-    n = lines[0].base.shape[0]
-    ts = np.stack([np.linspace(line.t0, line.t1, grid) for line in lines])
-    base = np.stack([line.base for line in lines])
-    u = np.stack([line.direction for line in lines])
-    pts = base[:, None, :] + ts[..., None] * u[:, None, :]
-    # a segment whose nonzero points all share one direction up to sign
+    ts = np.linspace(line.t0, line.t1, grid)
+    pts = line.point(ts)
     rad = np.linalg.norm(pts, axis=-1)
     ok = rad > 1e-12
-    d = pts / np.maximum(rad, 1e-300)[..., None]
-    d0 = d[np.arange(len(lines)), np.argmax(ok, axis=1)][:, None, :]
-    off = np.minimum(np.linalg.norm(d - d0, axis=-1), np.linalg.norm(d + d0, axis=-1))
-    along = (np.count_nonzero(ok, axis=1) >= 2) & (np.where(ok, off, 0.0).max(axis=1) < 1e-8)
-    cut = np.flatnonzero(~along)
-    out: list[Cuts | None] = [None] * len(lines)
-    if not cut.size:
-        return out
-    ts, base, u = ts[cut], base[cut], u[cut]
-    sigma = _radial_defect(chart, pts[cut].reshape(-1, n))[0].reshape(cut.size, grid)
-    owner, at = np.nonzero(np.sign(sigma[:, :-1]) * np.sign(sigma[:, 1:]) < 0)
-    refined = _refine_brackets(
-        lambda t, live: _radial_defect(
-            chart, base[owner[live]] + t[:, None] * u[owner[live]])[0],
-        ts[owner, at], ts[owner, at + 1], sigma[owner, at], sigma[owner, at + 1],
-    )
-    zero_owner, zero_at = np.nonzero(np.abs(sigma) < 1e-15)
-    for k, j in enumerate(cut):
-        line = lines[j]
-        roots = list(refined[owner == k])
-        roots.extend(float(t) for t in ts[k, zero_at[zero_owner == k]])
-        out[j] = cuts = Cuts()
-        seen: list[float] = []
-        for t in sorted(roots):
-            t = _polish_root(chart, line, float(t))
-            if t is None:
-                cuts.dropped += 1
-                continue
-            if any(abs(t - s) < 1e-9 * max(1.0, abs(t)) + 1e-12 for s in seen):
-                continue
-            if t < line.t0 - 1e-9 or t > line.t1 + 1e-9:
-                continue
-            seen.append(t)
-            cuts.append(line.point(np.array([t]))[0])
+    if np.count_nonzero(ok) >= 2:
+        d = pts[ok] / rad[ok][..., None]
+        spread = np.linalg.norm(d - d[0], axis=-1)
+        anti = np.linalg.norm(d + d[0], axis=-1)
+        if float(np.minimum(spread, anti).max()) < 1e-8:
+            raise GeneratrixError("segment lies along a single generatrix direction")
+    sigma, _, _ = _radial_defect(chart, pts)
+    flips = np.flatnonzero(np.sign(sigma[:-1]) * np.sign(sigma[1:]) < 0)
+    roots = list(_refine_brackets(
+        lambda t: _radial_defect(chart, line.point(t))[0],
+        ts[flips], ts[flips + 1], sigma[flips], sigma[flips + 1],
+    ))
+    roots.extend(float(ts[i]) for i in np.flatnonzero(np.abs(sigma) < 1e-15))
+    out = Cuts()
+    seen: list[float] = []
+    for t in sorted(roots):
+        t = _polish_root(chart, line, float(t))
+        if t is None:
+            out.dropped += 1
+            continue
+        if any(abs(t - s) < 1e-9 * max(1.0, abs(t)) + 1e-12 for s in seen):
+            continue
+        if t < line.t0 - 1e-9 or t > line.t1 + 1e-9:
+            continue
+        seen.append(t)
+        out.append(line.point(np.array([t]))[0])
     return out
 
 
@@ -554,46 +515,40 @@ def make_transversal_lines(
     A candidate is the line through two cone points p = r_p Sigma(x_p) and
     q = r_q Sigma(x_q), so its tangent angles there, asin|u . nu(x_p)| and
     asin|u . nu(x_q)|, are known from the draw: a candidate with either
-    below a - _DRAW_SLACK is rejected before it is cut.  Candidates are
-    drawn in rounds of one per line still wanted, so no draw is made past
-    the last line accepted, and the survivors of a round are cut together
-    (`_cut_lines`).  `tally`, when given, gets the numbers of candidates
-    drawn, rejected by the draw test and cut added to its
-    `make_transversal_lines.*` keys.
+    below a - _DRAW_SLACK is rejected before it is cut.  `tally`, when
+    given, gets the numbers of candidates drawn, rejected by the draw test
+    and cut added to its `make_transversal_lines.*` keys.
     """
     out: list[tuple[LineSegment, Cuts]] = []
     counts = dict.fromkeys(("candidates", "rejected_by_draw", "cut"), 0)
     while len(out) < count and counts["candidates"] < _MAX_TRIES * count:
-        batch = min(count - len(out), _MAX_TRIES * count - counts["candidates"])
-        counts["candidates"] += batch
-        lines, xs = [], []
-        for _ in range(batch):
-            x = rng.uniform(0.05, 0.95, size=(2, chart.dim))
-            r = rng.uniform(0.35, 0.9, size=2)
-            p, q = r[:, None] * chart.point(x)
-            if float(np.linalg.norm(p - q)) >= 0.2:
-                lines.append(LineSegment.through(p, q, pad=0.15))
-                xs.append(x)
-        if not lines:
+        counts["candidates"] += 1
+        x = rng.uniform(0.05, 0.95, size=(2, chart.dim))
+        r = rng.uniform(0.35, 0.9, size=2)
+        p, q = r[:, None] * chart.point(x)
+        if float(np.linalg.norm(p - q)) < 0.2:
             continue
-        u = np.stack([line.direction for line in lines])
-        sines = np.abs(np.einsum("lkn,ln->lk", chart.normal(np.stack(xs)), u)).min(axis=1)
-        steep = np.arcsin(np.minimum(sines, 1.0)) >= a - _DRAW_SLACK
-        lines = [line for line, keep in zip(lines, steep) if keep]
-        counts["rejected_by_draw"] += steep.size - len(lines)
-        counts["cut"] += len(lines)
-        for line, cuts in zip(lines, _cut_lines(chart, lines, 4000)):
-            if not cuts:  # None along a generatrix, or no cut
-                continue
-            angles = []
-            for c in cuts:
-                if float(np.linalg.norm(c)) < 0.05:
-                    break
-                angles.append(tangent_plane_angle(chart, c, line))
-            else:
-                if min(angles) >= a:
-                    cuts.angles = angles
-                    out.append((line, cuts))
+        line = LineSegment.through(p, q, pad=0.15)
+        sine = float(np.abs(chart.normal(x) @ line.direction).min())
+        if math.asin(min(sine, 1.0)) < a - _DRAW_SLACK:
+            counts["rejected_by_draw"] += 1
+            continue
+        counts["cut"] += 1
+        try:
+            cuts = line_cone_points(chart, line, grid=4000)
+        except GeneratrixError:
+            continue
+        if not cuts:
+            continue
+        angles = []
+        for c in cuts:
+            if float(np.linalg.norm(c)) < 0.05:
+                break
+            angles.append(tangent_plane_angle(chart, c, line))
+        else:
+            if angles and min(angles) >= a:
+                cuts.angles = angles
+                out.append((line, cuts))
     if tally is not None:
         for name, value in counts.items():
             key = f"make_transversal_lines.{name}"

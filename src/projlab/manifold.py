@@ -50,6 +50,11 @@ _DEGENERATE_TOL = 1e-10
 # caps had finite-difference derivatives; it stays now they are closed form.
 _NEWTON_XTOL = 1e-10
 
+# Direction-node products of the seed-grid search held at once (8 MiB): the
+# grid has 64^(n-2) nodes by default, 4,096 at n = 4, so the search takes
+# its directions in row blocks.
+_SEED_PRODUCTS = 1 << 20
+
 
 class ChartError(Exception):
     pass
@@ -250,10 +255,14 @@ class ManifoldChart:
         after `iters` steps.
         """
         grid, pts = self.seed_grid(seeds_per_axis)
-        dots = dirs @ pts.T
-        best = np.argmax(dots, axis=1)
+        best = np.empty(dirs.shape[0], dtype=np.intp)
+        val = np.empty(dirs.shape[0])
+        block = max(1, _SEED_PRODUCTS // pts.shape[0])
+        for i in range(0, dirs.shape[0], block):
+            dots = dirs[i : i + block] @ pts.T
+            best[i : i + block] = np.argmax(dots, axis=1)
+            val[i : i + block] = dots[np.arange(dots.shape[0]), best[i : i + block]]
         x = grid[best]
-        val = dots[np.arange(dots.shape[0]), best]
         converged = np.zeros(x.shape[0], dtype=bool)
         mesh = 1.0 / (seeds_per_axis - 1)
         eye = np.eye(self.dim)

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,7 +23,6 @@ from projlab.cone import (
 from projlab.cone import (
     _bracket,
     _complement_basis,
-    _cut_lines,
     _polish_root,
     _radial_defect,
     _signed_nearest,
@@ -156,6 +156,20 @@ def test_unconverged_rows_are_flagged():
     assert (~conv1).any()
     # a row flagged converged after one step is already at the answer
     assert np.abs(x1[conv1] - x24[conv1]).max(initial=0.0) <= 1e-9
+
+
+def test_seed_search_blocks_keep_the_bits(monkeypatch):
+    import projlab.manifold as manifold_module
+
+    chart = PerturbedCapChart(4, 0.6, amplitude=0.005, frequency=2.0)
+    dirs = _unit_rows(1_000, 4, 7)
+    monkeypatch.setattr(manifold_module, "_SEED_PRODUCTS", 1 << 40)
+    whole = ManifoldChart.nearest_parameters(chart, dirs, 64, 24)
+    # blocks of 3 rows against the 4,096 nodes, the last one a single row
+    monkeypatch.setattr(manifold_module, "_SEED_PRODUCTS", 3 * 4096)
+    blocked = ManifoldChart.nearest_parameters(chart, dirs, 64, 24)
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("chart", [
@@ -406,28 +420,20 @@ def test_draw_test_keeps_the_candidate_loop(chart):
             <= tally["make_transversal_lines.candidates"])
 
 
-def test_batched_cuts_equal_one_line_calls(cap3, monkeypatch):
-    import projlab.cone as cone_module
-
-    r = rng_stream(24, 5)
-    lines = []
-    while len(lines) < 12:
-        x = r.uniform(0.05, 0.95, (2, 1))
-        p, q = r.uniform(0.35, 0.9, 2)[:, None] * cap3.point(x)
-        if float(np.linalg.norm(p - q)) >= 0.2:
-            lines.append(LineSegment.through(p, q, pad=0.15))
-    generatrix = LineSegment(np.zeros(3), cap3.point(np.array([[0.3]]))[0], -1.0, 1.0)
-    lines.insert(5, generatrix)
-    alone = [line_cone_points(cap3, line, grid=4000) for line in lines if line is not generatrix]
-    # passes of 3 lines, so the split across passes is tested too
-    monkeypatch.setattr(cone_module, "_CUT_ROWS", 3 * 4000)
-    batched = _cut_lines(cap3, lines, 4000)
-    assert batched.pop(5) is None
-    assert sum(len(c) for c in alone) > len(alone)
-    for got, ref in zip(batched, alone, strict=True):
-        assert len(got) == len(ref) and got.dropped == ref.dropped == 0
-        if len(ref):
-            assert np.array_equal(np.array(got), np.array(ref))
+def test_line_search_memory_stays_bounded():
+    chart = PerturbedCapChart(4, 0.6, amplitude=0.005, frequency=2.0)
+    chart.seed_grid(64)
+    tracemalloc.start()
+    try:
+        found = make_transversal_lines(chart, 0.3, 20, rng_stream(5, 401))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 20
+    # every row of this chart runs projected Newton from the 4,096-node
+    # seed grid: 32 KiB of products a row, 125 MiB for one 4,000-point cut
+    # grid, if the grid were taken whole
+    assert peak < 32 * 2**20
 
 
 def test_tube_volume_reads_carried_angles(cap3, monkeypatch):

@@ -232,17 +232,28 @@ def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypa
         reports.append(tube(*args, **kwargs))
         return reports[-1]
 
-    def recorded_lines(*args):
-        found = transversal(*args)
+    class CountedDraws:
+        # a candidate draws its two chart parameters in one (2, dim) call
+        def __init__(self, rng):
+            self.rng = rng
+
+        def uniform(self, low, high, size):
+            drawn.extend([size] * (size == (2, cap3.dim)))
+            return self.rng.uniform(low, high, size)
+
+    drawn = []
+
+    def recorded_lines(chart, a, count, rng, tally):
+        found = transversal(chart, a, count, CountedDraws(rng), tally)
         cut_lists.extend(cuts for _, cuts in found)
         return found
 
     # the line searches cut every line they build that passes the draw test
-    cut_lines, through, built, cut = cones._cut_lines, cones.LineSegment.through, [], []
+    cut_line, through, built, cut = cones.line_cone_points, cones.LineSegment.through, [], []
 
-    def recorded_cut(cone, lines, grid):
-        cut.extend(lines)
-        return cut_lines(cone, lines, grid)
+    def recorded_cut(cone, line, grid):
+        cut.append(line)
+        return cut_line(cone, line, grid)
 
     def recorded_through(cls, *args, **kwargs):
         built.append(through(*args, **kwargs))
@@ -257,7 +268,7 @@ def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypa
     monkeypatch.setattr(cones, "line_cone_tube_volume", recorded_tube)
     monkeypatch.setattr(cones, "make_transversal_lines", recorded_lines)
     monkeypatch.setattr(cones, "_polish_root", far_half_fails)
-    monkeypatch.setattr(cones, "_cut_lines", recorded_cut)
+    monkeypatch.setattr(cones, "line_cone_points", recorded_cut)
     monkeypatch.setattr(cones.LineSegment, "through", classmethod(recorded_through))
     # a = 0.45 makes the draw test reject candidates
     rep = run_cone_incidence(cap3, 5, a=0.45, sweep_lines=2, check_lines=3,
@@ -277,7 +288,7 @@ def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypa
         "line_cone_tube_volume.certified_hits": sum(r.certified_hits for r in reports),
         "line_cone_tube_volume.min_hits": min(r.hits for r in reports),
         "line_cone_points.dropped": sum(c.dropped for c in cut_lists),
-        "make_transversal_lines.candidates": meta["counters"]["make_transversal_lines.candidates"],
+        "make_transversal_lines.candidates": len(drawn),
         "make_transversal_lines.rejected_by_draw": len(built) - len(cut),
         "make_transversal_lines.cut": len(cut),
     }
@@ -285,7 +296,7 @@ def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypa
         r.hits for r in reports)
     # some build was rejected from its draw alone, and every candidate drew
     # a line unless its two points lay too close
-    assert len(cut) < len(built) <= meta["counters"]["make_transversal_lines.candidates"]
+    assert len(cut) < len(built) <= len(drawn)
 
 
 def test_cone_incidence_keeps_empty_tubes_out_of_the_fit(cap3):
