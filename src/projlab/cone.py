@@ -150,14 +150,19 @@ def tangent_plane_angle(chart: ManifoldChart, p, line: LineSegment) -> float:
     plane at p; the plane is the normal complement of the cross-section
     normal at the radial foot, so sin(angle) = |u . nu(x)|."""
     p = np.asarray(p, dtype=float)
-    dist, x, r = cone_nearest(chart, p[None, :])
+    dist, x, _ = cone_nearest(chart, p[None, :])
     if float(dist[0]) > 1e-8:
         raise ValueError(f"point is off the cone surface by {float(dist[0]):.3e}")
     if float(np.linalg.norm(p)) < 1e-12:
         raise ApexError("tangent plane undefined at the apex")
-    nu = chart.normal(x)[0]
-    s = float(np.clip(np.abs(np.dot(line.direction, nu)), 0.0, 1.0))
-    return math.asin(s)
+    return _plane_angle(line.direction, chart.normal(x)[0])
+
+
+def _plane_angle(u: np.ndarray, nu: np.ndarray) -> float:
+    """asin|u . nu|: the angle between the unit direction u and the plane
+    with unit normal nu.  One row at a time: a batched product can differ
+    from this in the last bit."""
+    return math.asin(float(np.clip(np.abs(np.dot(u, nu)), 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +215,17 @@ def _refine_brackets(f, lo, hi, flo, fhi) -> np.ndarray:
 class Cuts(list):
     """Points where a segment meets the cone, in order along the segment.
 
-    `dropped` counts bracketed roots that `_polish_root` could not put on
-    the cone; they are missing from the list, so the count may be low.
-    `angles` holds `tangent_plane_angle` at each cut, in order; it is
-    empty until `make_transversal_lines` fills it.
+    `angles` holds the tangent angle (`tangent_plane_angle`) at each cut, in
+    order.  `dropped` counts bracketed roots that no nearest-point query put
+    within 1e-10 of the cone; they are missing from the list, so the count
+    may be low.
     """
 
     dropped: int = 0
     angles: tuple[float, ...] | list[float] = ()
 
 
-def _radial_defect(chart: ManifoldChart, pts: np.ndarray):
+def _radial_defect(chart: ManifoldChart, pts: np.ndarray) -> np.ndarray:
     """Signed side indicator of the radial projection relative to the
     cross-section: (d - Sigma(xhat)) . nu(xhat) with xhat the angular nearest
     chart point of the better of +-d.  C1 away from the apex; vanishes on
@@ -229,9 +234,14 @@ def _radial_defect(chart: ManifoldChart, pts: np.ndarray):
     d = pts / np.maximum(rad, 1e-300)[..., None]
     x, _, sign = _signed_nearest(chart, d)
     signed_d = sign[:, None] * d
-    sigma = chart.point(x)
-    nu = chart.normal(x)
-    return np.einsum("...n,...n->...", signed_d - sigma, nu), x, sign < 0
+    return np.einsum("...n,...n->...", signed_d - chart.point(x), chart.normal(x))
+
+
+def _settle_roots(chart: ManifoldChart, line: LineSegment, ts: np.ndarray):
+    """(distance to the cone, foot parameters) at line(t) for each root t,
+    from one batched nearest-point query."""
+    dist, x, _ = cone_nearest(chart, line.point(ts))
+    return dist, x
 
 
 def line_cone_points(
@@ -239,13 +249,15 @@ def line_cone_points(
     line: LineSegment,
     grid: int = 10_000,
 ) -> Cuts:
-    """All intersection points of the segment with the cone surface.
+    """All intersection points of the segment with the cone surface, with
+    their tangent angles.
 
-    Brackets sign changes of the radial side defect along a fine t-grid,
-    refines all brackets together to width _BRACKET_TOL, then polishes each
-    root on the full system line(t) = r*Sigma(x) and keeps roots with
-    on-surface residual below 1e-10.  Segments lying inside a generatrix
-    are rejected.
+    Brackets sign changes of the radial side defect along a fine t-grid and
+    refines all brackets together to width _BRACKET_TOL.  One nearest-point
+    query at the roots then settles them: a root is kept where its distance
+    to the (finite) cone is at most 1e-10, which rejects sign changes past
+    the rim, and its tangent angle is read from the query's foot.  Segments
+    lying inside a generatrix are rejected.
     """
     ts = np.linspace(line.t0, line.t1, grid)
     pts = line.point(ts)
@@ -257,60 +269,27 @@ def line_cone_points(
         anti = np.linalg.norm(d + d[0], axis=-1)
         if float(np.minimum(spread, anti).max()) < 1e-8:
             raise GeneratrixError("segment lies along a single generatrix direction")
-    sigma, _, _ = _radial_defect(chart, pts)
+    sigma = _radial_defect(chart, pts)
     flips = np.flatnonzero(np.sign(sigma[:-1]) * np.sign(sigma[1:]) < 0)
-    roots = list(_refine_brackets(
-        lambda t: _radial_defect(chart, line.point(t))[0],
-        ts[flips], ts[flips + 1], sigma[flips], sigma[flips + 1],
-    ))
-    roots.extend(float(ts[i]) for i in np.flatnonzero(np.abs(sigma) < 1e-15))
+    # `sorted`: a line has a few roots, and np.sort's kernels would add their
+    # code pages to the peak RSS of a run
+    roots = np.array(sorted([
+        *_refine_brackets(lambda t: _radial_defect(chart, line.point(t)),
+                          ts[flips], ts[flips + 1], sigma[flips], sigma[flips + 1]),
+        *ts[np.abs(sigma) < 1e-15],
+    ]))
+    dist, x = _settle_roots(chart, line, roots)
     out = Cuts()
-    seen: list[float] = []
-    for t in sorted(roots):
-        t = _polish_root(chart, line, float(t))
-        if t is None:
+    out.angles = []
+    last = None
+    for t, p, resid, nu in zip(roots, line.point(roots), dist, chart.normal(x)):
+        if resid > 1e-10:
             out.dropped += 1
-            continue
-        if any(abs(t - s) < 1e-9 * max(1.0, abs(t)) + 1e-12 for s in seen):
-            continue
-        if t < line.t0 - 1e-9 or t > line.t1 + 1e-9:
-            continue
-        seen.append(t)
-        out.append(line.point(np.array([t]))[0])
+        elif last is None or t - last >= 1e-9 * max(1.0, abs(t)) + 1e-12:
+            last = t
+            out.append(p)
+            out.angles.append(_plane_angle(line.direction, nu))
     return out
-
-
-def _polish_root(chart: ManifoldChart, line: LineSegment, t: float):
-    """Newton on F(t, r, x) = line(t) - r*Sigma(x) = 0 (n equations in n
-    unknowns), seeded from the radial projection at t."""
-    p = line.point(np.array([t]))
-    dist, x, r = cone_nearest(chart, p)
-    x = x[0].copy()
-    r = float(r[0])
-    for _ in range(60):
-        pt = line.point(np.array([t]))[0]
-        sig = chart.point(x[None, :])[0]
-        J = chart.jacobian(x[None, :])[0]
-        F = pt - r * sig
-        if float(np.linalg.norm(F)) < 1e-14:
-            break
-        M = np.concatenate(
-            [line.direction[:, None], -sig[:, None], -r * J], axis=1
-        )
-        try:
-            step = np.linalg.solve(M, -F)
-        except np.linalg.LinAlgError:
-            return None
-        scale = min(1.0, 0.05 / max(float(np.abs(step).max()), 1e-300))
-        t += float(step[0]) * scale
-        r += float(step[1]) * scale
-        x = np.clip(x + step[2:] * scale, 0.0, 1.0)
-    resid = float(cone_distance(chart, line.point(np.array([t]))[0]))
-    if resid > 1e-10:
-        return None
-    if abs(r) > 1.0 + 1e-9:
-        return None
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +473,8 @@ def line_cone_tube_volume(
 _MAX_TRIES = 50
 
 # Margin of the draw-time transversality test.  The draw angle at p is the
-# angle at an exact cone point, and `tangent_plane_angle` reads it again at
-# the polished cut there, whose error (residual below 1e-10) moves it far
-# less than this.
+# angle at an exact cone point, and `line_cone_points` reads it again at the
+# cut there, whose error (distance below 1e-10) moves it far less than this.
 _DRAW_SLACK = 1e-6
 
 
@@ -529,8 +507,7 @@ def make_transversal_lines(
         if float(np.linalg.norm(p - q)) < 0.2:
             continue
         line = LineSegment.through(p, q, pad=0.15)
-        sine = float(np.abs(chart.normal(x) @ line.direction).min())
-        if math.asin(min(sine, 1.0)) < a - _DRAW_SLACK:
+        if min(_plane_angle(line.direction, nu) for nu in chart.normal(x)) < a - _DRAW_SLACK:
             counts["rejected_by_draw"] += 1
             continue
         counts["cut"] += 1
@@ -538,17 +515,8 @@ def make_transversal_lines(
             cuts = line_cone_points(chart, line, grid=4000)
         except GeneratrixError:
             continue
-        if not cuts:
-            continue
-        angles = []
-        for c in cuts:
-            if float(np.linalg.norm(c)) < 0.05:
-                break
-            angles.append(tangent_plane_angle(chart, c, line))
-        else:
-            if angles and min(angles) >= a:
-                cuts.angles = angles
-                out.append((line, cuts))
+        if cuts and min(map(np.linalg.norm, cuts)) >= 0.05 and min(cuts.angles) >= a:
+            out.append((line, cuts))
     if tally is not None:
         for name, value in counts.items():
             key = f"make_transversal_lines.{name}"

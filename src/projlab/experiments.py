@@ -486,7 +486,7 @@ def run_pair_volume_sweep(
 
 
 def _note_dropped_roots(rep: ExperimentReport, label: str, cuts) -> None:
-    # a root that failed to polish could hide a third intersection point
+    # a root that missed the cone could hide a third intersection point
     if cuts.dropped:
         rep.notes.append(f"{label}: {cuts.dropped} bracketed root(s) not polished onto the cone")
 

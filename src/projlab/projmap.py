@@ -133,10 +133,6 @@ class C2Distance:
     slack: float  # continuity margin: possible excess of the true sup
     grid_per_axis: int
 
-    @property
-    def upper(self) -> float:
-        return self.value + self.slack
-
 
 def _c2_stats(ff: FrameField, W: np.ndarray):
     """Grid value norms and least gradient singular values (P, G), then

@@ -313,12 +313,6 @@ class FractalSet:
             L += 1
         return L
 
-    def piece_stride(self, k_max: int) -> int | None:
-        """Rows m^L between consecutive rows of one level-L piece (see
-        `_piece_level`), or None without a piece table."""
-        L = self._piece_level(k_max)
-        return None if L is None else self.pieces.offsets.shape[0] ** L
-
     def image_rows(self, B: np.ndarray, k_max: int) -> tuple[np.ndarray, int]:
         """Rows that occupy exactly the 2^-k cells of points @ B.T at every
         k <= k_max, and the number of construction pieces expanded row by

@@ -70,8 +70,9 @@ class LogLogFit:
 def fit_line(x, y) -> LogLogFit:
     """Least-squares line fit with R^2 and per-point residuals.
 
-    A zero-variance response is treated as a perfect constant fit
-    (slope 0, r2 1) instead of a degenerate division.
+    A response whose spread is within rounding of zero has r2 0: a flat line
+    through it explains nothing, and r2 would otherwise be 1 or 0 as the
+    mean happens to round.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -88,5 +89,6 @@ def fit_line(x, y) -> LogLogFit:
     resid = y - (slope * x + intercept)
     sst = ((y - ym) ** 2).sum()
     ssr = (resid ** 2).sum()
-    r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
+    flat = np.abs(y - ym).max() <= x.size * np.finfo(float).eps * np.abs(y).max()
+    r2 = 0.0 if flat else 1.0 - ssr / sst
     return LogLogFit(float(slope), float(intercept), float(r2), resid)

@@ -1,12 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from projlab import cli
+from projlab.util import fit_line
 
 
 def write_config(tmp_path, text):
@@ -176,6 +179,22 @@ def test_failing_tolerance_gives_exit_one(tmp_path, capsys):
     rep = read_single_report(out)
     assert rep["verdict"] == "fail"
     assert rep["status"] == "complete"
+
+
+def test_flat_ring_profile_does_not_pass(tmp_path, capsys):
+    # the default n = 4 incidence-count counts the same mean number of
+    # points in every ring, and a flat profile explains nothing however its
+    # mean rounds: 1.625 rounds back exactly, 1.375 does not
+    for value in (1.625, 1.375):
+        assert fit_line(np.arange(5.0), np.full(5, math.log2(value))).r2 == 0.0
+    cfg = write_config(tmp_path, "[manifold]\nn = 4\n")
+    out = tmp_path / "out"
+    rc = cli.main(["incidence-count", "--config", cfg, "--out-dir", str(out), "--seed", "2026"])
+    assert rc == 1
+    rep = read_single_report(out)
+    rings = {m["value"] for m in rep["measurements"] if m["quantity"].startswith("ring_count_r")}
+    assert len(rings) == 1
+    assert rep["verdict"] == "insufficient" and rep["fits"]["r2"] == 0.0
 
 
 def test_config_bound_without_its_section_is_a_config_error(tmp_path, capsys):

@@ -23,7 +23,6 @@ from projlab.cone import (
 from projlab.cone import (
     _bracket,
     _complement_basis,
-    _polish_root,
     _radial_defect,
     _signed_nearest,
     _tube_nodes,
@@ -308,16 +307,16 @@ def test_random_secants_cut_at_most_twice(cap3):
 
 def _bisection_cuts(chart, line, grid, tol=1e-12):
     """Reference solver: a scalar 80-step bisection per sign-change bracket
-    of the radial defect, then the same polish, dedupe and range checks as
+    of the radial defect, then the same nearest-point gate and dedupe as
     line_cone_points."""
     ts = np.linspace(line.t0, line.t1, grid)
-    sigma = _radial_defect(chart, line.point(ts))[0]
+    sigma = _radial_defect(chart, line.point(ts))
     roots = []
     for i in np.flatnonzero(np.sign(sigma[:-1]) * np.sign(sigma[1:]) < 0):
         lo, hi, flo = ts[i], ts[i + 1], sigma[i]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            fmid = float(_radial_defect(chart, line.point(np.array([mid])))[0][0])
+            fmid = float(_radial_defect(chart, line.point(np.array([mid])))[0])
             if flo * fmid <= 0.0:
                 hi = mid
             else:
@@ -326,13 +325,13 @@ def _bisection_cuts(chart, line, grid, tol=1e-12):
                 break
         roots.append(0.5 * (lo + hi))
     roots.extend(float(ts[i]) for i in np.flatnonzero(np.abs(sigma) < 1e-15))
+    roots = np.sort(roots)
+    dist = cone_nearest(chart, line.point(roots))[0]
     kept = []
-    for t in sorted(roots):
-        t = _polish_root(chart, line, t)
-        if t is None or any(abs(t - s) < 1e-9 * max(1.0, abs(t)) + 1e-12 for s in kept):
+    for t, resid in zip(roots, dist):
+        if resid > 1e-10 or any(abs(t - s) < 1e-9 * max(1.0, abs(t)) + 1e-12 for s in kept):
             continue
-        if line.t0 - 1e-9 <= t <= line.t1 + 1e-9:
-            kept.append(t)
+        kept.append(t)
     return line.point(np.array(kept))
 
 
@@ -366,6 +365,37 @@ def test_transversal_lines_carry_their_fresh_cuts(cap3):
         assert len(cuts) == len(fresh)
         assert np.abs(np.array(cuts) - np.array(fresh)).max() <= 1e-10
         assert cuts.angles == [tangent_plane_angle(cap3, c, line) for c in cuts]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", [2026, 11])
+def test_cuts_on_caps_are_the_drawn_points(n, seed):
+    # on a cap the cone is the quadric x_n^2 (1 - c^2) = c^2 |x_h|^2, which a
+    # line meets at most twice; an accepted line runs through two drawn cone
+    # points, at t = 0 and t = |q - p| = t1 / 1.15
+    chart = CapChart(n, 0.6)
+    for line, cuts in make_transversal_lines(chart, 0.3, 100, rng_stream(seed, 21)):
+        assert len(cuts) == 2
+        ts = (np.array(cuts) - line.base) @ line.direction
+        assert np.abs(ts - [0.0, line.t1 / 1.15]).max() <= 1e-12
+
+
+def test_line_search_reads_angles_from_its_cuts(cap3, monkeypatch):
+    import projlab.cone as cone_module
+
+    def no_angle_query(*args):
+        raise AssertionError("tangent_plane_angle called")
+
+    cut_line, made = cone_module.line_cone_points, []
+
+    def recorded_cut(chart, line, grid):
+        made.append(cut_line(chart, line, grid))
+        return made[-1]
+
+    monkeypatch.setattr(cone_module, "tangent_plane_angle", no_angle_query)
+    monkeypatch.setattr(cone_module, "line_cone_points", recorded_cut)
+    assert len(make_transversal_lines(cap3, 0.3, 5, rng_stream(24, 4))) == 5
+    assert made and all(len(cuts.angles) == len(cuts) for cuts in made)
 
 
 def candidate_loop(chart, a, count, rng):

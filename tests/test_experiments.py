@@ -259,15 +259,16 @@ def test_cone_incidence_counters_go_to_the_sidecar_only(tmp_path, cap3, monkeypa
         built.append(through(*args, **kwargs))
         return built[-1]
 
-    polish = cones._polish_root
+    settle = cones._settle_roots
 
     # loses the far cut of every secant, so every line drops a root
-    def far_half_fails(cone, line, t):
-        return None if t > 0.5 * (line.t0 + line.t1) else polish(cone, line, t)
+    def far_half_fails(cone, line, ts):
+        dist, x = settle(cone, line, ts)
+        return np.where(ts > 0.5 * (line.t0 + line.t1), np.inf, dist), x
 
     monkeypatch.setattr(cones, "line_cone_tube_volume", recorded_tube)
     monkeypatch.setattr(cones, "make_transversal_lines", recorded_lines)
-    monkeypatch.setattr(cones, "_polish_root", far_half_fails)
+    monkeypatch.setattr(cones, "_settle_roots", far_half_fails)
     monkeypatch.setattr(cones, "line_cone_points", recorded_cut)
     monkeypatch.setattr(cones.LineSegment, "through", classmethod(recorded_through))
     # a = 0.45 makes the draw test reject candidates
@@ -326,14 +327,15 @@ def test_cone_incidence_passes_on_the_perturbed_cap():
 
 
 def test_cone_incidence_notes_roots_that_fail_to_polish(cap3, monkeypatch):
-    polish = cones._polish_root
+    settle = cones._settle_roots
 
     # secants run from one surface point (t = 0) to another (t = length), so
     # this loses the far cut of every line and keeps the near one
-    def far_half_fails(cone, line, t):
-        return None if t > 0.5 * (line.t0 + line.t1) else polish(cone, line, t)
+    def far_half_fails(cone, line, ts):
+        dist, x = settle(cone, line, ts)
+        return np.where(ts > 0.5 * (line.t0 + line.t1), np.inf, dist), x
 
-    monkeypatch.setattr(cones, "_polish_root", far_half_fails)
+    monkeypatch.setattr(cones, "_settle_roots", far_half_fails)
     rep = run_cone_incidence(cap3, 5, sweep_lines=1, check_lines=2,
                              deltas=(2.0**-5, 2.0**-6), samples=2000)
     for label in ("line 0", "check line 0", "check line 1"):

@@ -340,7 +340,7 @@ def face_frames(fr, b, k_max, seed, tries=6, ulps=8):
     piece box and its rows are rounded apart, only the guard keeps the box
     honest."""
     img = fr.points @ b.T
-    stride = fr.piece_stride(k_max)
+    stride = fr.pieces.offsets.shape[0] ** fr._piece_level(k_max)
     rng = rng_stream(seed, 1)
     out = []
     for c, axis in zip(rng.integers(0, stride, tries), rng.integers(0, b.shape[0], tries)):
@@ -357,7 +357,7 @@ def test_one_cell_pieces_lie_in_their_cell(placement, level):
     fr = build_cantor_dust(3, m, 2.0**-2.5 if m == 4 else 0.3, level, placement=placement)
     k_max = 10
     L = fr._piece_level(k_max)
-    stride = fr.piece_stride(k_max)
+    stride = m**L
     scale = 2.0**k_max
     ones = 0
     for i, b in enumerate(frames(4, 30 + level)):
@@ -397,16 +397,16 @@ def test_piece_counts_equal_full_keying_at_every_scale(placement, level):
     assert straddled >= 6
 
 
-def test_piece_stride_is_derived_from_the_construction():
+def test_piece_level_is_derived_from_the_construction():
     dust = build_cantor_dust(3, 4, 2.0**-2.5, 10, placement="planar")
     # the smallest L with 0.98 r^L <= 2^-16
-    assert dust.piece_stride(10) == 4**7
-    assert dust.piece_stride(4) == 4**4
+    assert dust._piece_level(10) == 7
+    assert dust._piece_level(4) == 4
     # capped below the construction level, so a piece keeps more than one point
-    assert dust.piece_stride(40) == 4**9
-    assert build_cantor_dust(3, 4, 2.0**-2.5, 1, placement="planar").piece_stride(10) is None
+    assert dust._piece_level(40) == 9
+    assert build_cantor_dust(3, 4, 2.0**-2.5, 1, placement="planar")._piece_level(10) is None
     plain = FractalSet(n=3, points=dust.points, similarity_dim=0.8, cell_side=1.0, level=10)
-    assert plain.piece_stride(10) is None
+    assert plain._piece_level(10) is None
 
 
 def test_piece_counting_still_rejects_non_finite_rows():
@@ -439,7 +439,7 @@ def test_sets_without_a_piece_table_take_the_full_path():
     plain = FractalSet(n=3, points=dust.points, similarity_dim=0.8, cell_side=1.0, level=6)
     b = frames(1, 43)[0]
     for fr in (pair, plain):
-        assert fr.pieces is None and fr.piece_stride(10) is None
+        assert fr.pieces is None and fr._piece_level(10) is None
         rows, expanded = fr.image_rows(b[:, : fr.n], 10)
         assert expanded == 0 and np.array_equal(rows, fr.points @ b[:, : fr.n].T)
     with pytest.raises(ValueError, match="exactly one"):
