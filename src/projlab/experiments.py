@@ -292,9 +292,9 @@ def run_manifold_info(chart: ManifoldChart, seed: int = 0, samples: int = 1000) 
     rep.record(0.0, "kappa_product_error", prod_err, samples=samples)
     rep.checks["kappa_product_ok"] = bool(prod_err <= 1e-6)
     d = chart.dim
-    Q1 = np.linalg.qr(np.swapaxes(frame_matrices(chart, x)[:, :d, :], 1, 2))[0]
-    Q2 = np.linalg.qr(np.swapaxes(frame_matrices(dual, x)[:, :d, :], 1, 2))[0]
-    R = Q2 - Q1 @ (np.swapaxes(Q1, 1, 2) @ Q2)
+    E1 = np.swapaxes(frame_matrices(chart, x)[:, :d, :], 1, 2)
+    E2 = np.swapaxes(frame_matrices(dual, x)[:, :d, :], 1, 2)
+    R = E2 - E1 @ (np.swapaxes(E1, 1, 2) @ E2)
     # Frobenius norm of the residual bounds the sine of the largest
     # principal angle between the two tangent planes from above
     angle = float(np.linalg.norm(R, axis=(1, 2)).max())

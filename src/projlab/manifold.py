@@ -319,11 +319,6 @@ class ManifoldChart:
                 )
         return hi, lo
 
-    @property
-    def m_sigma(self) -> float:
-        """Global Jacobian scale used to normalize tangent frame vectors."""
-        return self._jacobian_bounds[0]
-
     def dual(self) -> "ManifoldChart":
         return DualChart(self)
 
@@ -538,13 +533,10 @@ class PerturbedCapChart(ManifoldChart):
         return rho * np.cos(theta) + dirs[:, -1] * np.sin(theta)
 
     def _preflight(self):
-        # least Jacobian singular value, then least principal curvature under
-        # the oriented normal (orthogonal Jacobian columns: Cholesky is safe)
+        # Jacobian columns nonzero and orthogonal, then least principal
+        # curvature under the oriented normal (Cholesky is then safe)
         grid = _sample_grid(self.dim, 33 if self.dim == 1 else 9)
-        if np.linalg.svd(self.jacobian(grid), compute_uv=False).min() < _DEGENERATE_TOL:
-            raise DegenerateJacobianError(
-                f"perturbation amplitude {self.amplitude} degenerates the chart Jacobian"
-            )
+        _unit_columns(self.jacobian(grid))
         least = float(np.min(principal_curvatures(self, grid)))
         if not least >= 1e-3:
             raise NonConvexityError(
@@ -615,16 +607,30 @@ def principal_curvatures(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(sym)
 
 
+def _unit_columns(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit Jacobian columns e_i = J_i/|J_i| (..., n, n-2) and the norms |J_i|.
+    Frames need orthogonal columns, as every chart the package builds has."""
+    norms = np.sqrt(np.einsum("...ki,...ki->...i", J, J))
+    if norms.size and not norms.min() >= _DEGENERATE_TOL:
+        raise DegenerateJacobianError(f"chart Jacobian column norm {norms.min():.3e}")
+    e = J / norms[..., None, :]
+    if J.shape[-1] > 1:
+        off = np.swapaxes(e, -1, -2) @ e - np.eye(J.shape[-1])
+        if np.abs(off).max() > 1e-9:
+            raise ChartError("chart Jacobian columns are not orthogonal")
+    return e, norms
+
+
 def frame_matrices(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
-    """Batched (n-1) x n matrices B(x) with rows (e_1 .. e_(n-2), nu).
+    """Batched (n-1) x n matrices B(x) with rows (e_1 .. e_(n-2), nu): an
+    orthonormal basis of the tangent space of S^(n-1) at Sigma(x).
 
     The associated projection of a displacement z is simply B(x) @ z, so a
     single frame batch serves every map with the same chart.
     """
-    J = chart.jacobian(x)
+    e, _ = _unit_columns(chart.jacobian(x))
     nu = chart.normal(x)
-    e = np.swapaxes(J, -1, -2) / chart.m_sigma
-    return np.concatenate([e, nu[..., None, :]], axis=-2)
+    return np.concatenate([np.swapaxes(e, -1, -2), nu[..., None, :]], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +641,7 @@ def frame_matrices(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
 class ChartConstants:
     """Sampled global quantities of one chart.
 
-    jacobian_scale   sup of the Jacobian operator norm (the frame scale)
+    jacobian_scale   sup of the Jacobian operator norm
     jacobian_floor   inf of the smallest Jacobian singular value
     kappa_min/max    principal curvature range over the chart
     sectional_min    min of kappa_i*kappa_j + 1 over pairs (n >= 4 only)

@@ -2,10 +2,12 @@
 
 For a chart point Sigma(x) with frame {e_1..e_(n-2), nu}, the map sends a
 displacement z to f_z(x) = B(x) z = (e_1.z, ..., e_(n-2).z, nu.z), with B
-from `frame_matrices`.  Everything here exploits that f_z is linear in z:
-one grid of frame tensors B, dB, d2B per chart serves every map of the
-family, and a difference f_y - f_z is the single map f_w at w = y - z, so
-maps enter these functions as their chart and w.
+from `frame_matrices`, an orthonormal basis of T S^(n-1) at Sigma(x), so
+|f_z(x)| = |z - (z.Sigma(x)) Sigma(x)| (the volume draws use that).
+Everything here exploits that f_z is linear in z: one grid of frame
+tensors B, dB, d2B per chart serves every map of the family, and a
+difference f_y - f_z is the single map f_w at w = y - z, so maps enter
+these functions as their chart and w.
 
 C^0/C^1/C^2 suprema are measured on sample grids and reported together
 with an explicit continuity margin (empirical Lipschitz constant of the
@@ -21,7 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from .manifold import ManifoldChart, _fd_hessian, _sample_grid, frame_matrices
+from .manifold import (ManifoldChart, _fd_hessian, _row_norm, _sample_grid, _unit_columns,
+                       frame_matrices)
 from .util import check_volume_args, unit_ball_volume, unit_directions
 
 __all__ = [
@@ -41,14 +44,16 @@ __all__ = [
 
 
 def _frame_derivative(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
-    """d/dx of the frame rows: Hessian columns for e_i, Weingarten for nu.
+    """d/dx of the frame rows: d_j e_i = (d_j J_i - e_i (e_i . d_j J_i)) / |J_i|
+    from the Hessian columns, Weingarten for nu.
 
     Shape (..., n-1, n, n-2): the derivative axis is last.
     """
+    e, norms = _unit_columns(chart.jacobian(x))
     H = chart.hessian(x)
-    dnu = chart.normal_jacobian(x)
-    de = np.einsum("...kij->...ikj", H) / chart.m_sigma
-    return np.concatenate([de, dnu[..., None, :, :]], axis=-3)
+    de = H - e[..., None] * np.einsum("...ki,...kij->...ij", e, H)[..., None, :, :]
+    de = np.einsum("...kij->...ikj", de) / norms[..., :, None, None]
+    return np.concatenate([de, chart.normal_jacobian(x)[..., None, :, :]], axis=-3)
 
 
 class FrameField:
@@ -212,7 +217,7 @@ class MCVolume:
     samples: int
     hits: int
     low_hits: bool
-    evaluated: int  # draws whose frame was built
+    evaluated: int  # draws given a chart point
 
 
 def vertical_slab_volume(n: int, delta: float) -> float:
@@ -288,7 +293,7 @@ def pair_intersection_volume(
     that number they are iid uniform on the live cells.  The estimator draws
     the number, then for each draw a live cell and a uniform point in it
     (binomial thinning, Owen ch. 9), so value, stderr, hits and `evaluated`
-    (the draws given a frame) have the law of drawing all `samples`.
+    (the draws given a chart point) have the law of drawing all `samples`.
     """
     check_volume_args(delta, samples)
     d, c = chart.dim, chart.n - 1
@@ -300,17 +305,20 @@ def pair_intersection_volume(
     evaluated = int(rng.binomial(samples, ids.size / live.size)) if ids.size else 0
     total = total_sq = 0.0
     hits = 0
-    chunk = 32_768  # rows per frame batch, which bounds its memory
+    chunk = 32_768  # rows per chart batch, which bounds its memory
     for done in range(0, evaluated, chunk):
         m = min(chunk, evaluated - done)
         # row-major cell ids, like `_live_cells`
         cell = np.unravel_index(ids[rng.integers(0, ids.size, m)], cells)
         x = (np.stack(cell, axis=-1) + rng.random((m, d))) / cells
-        t = np.linalg.norm(frame_matrices(chart, x) @ w, axis=-1) / delta
+        p = chart.point(x)  # |B(x) w| is |w - (w.p) p|
+        t = _row_norm(w - (p @ w)[:, None] * p) / delta
         weight = _lens_fraction(t, c)
         hits += int(np.count_nonzero(t < 2.0))
         total += float(weight.sum())
-        total_sq += float(weight @ weight)
+        # not weight @ weight: a threaded BLAS dot took up to milliseconds
+        # per chunk on a busy 2-vCPU host, against 0.01 ms for this sum
+        total_sq += float(np.einsum("i,i->", weight, weight))
     mean = total / samples
     sd = math.sqrt(max(total_sq / samples - mean * mean, 0.0))
     out = MCVolume(value=slab * mean, stderr=slab * sd / math.sqrt(samples), samples=samples,

@@ -197,6 +197,18 @@ def test_flat_ring_profile_does_not_pass(tmp_path, capsys):
     assert rep["verdict"] == "insufficient" and rep["fits"]["r2"] == 0.0
 
 
+def test_default_n4_project_dim_passes(tmp_path, capsys):
+    # frame rows that stretch the tangent plane unevenly spread the image
+    # dimensions of the 0.8-dimensional default dust out of the band
+    cfg = write_config(tmp_path, "[manifold]\nn = 4\n")
+    out = tmp_path / "out"
+    rc = cli.main(["project-dim", "--config", cfg, "--out-dir", str(out), "--seed", "2026"])
+    assert rc == 0
+    rep = read_single_report(out)
+    assert rep["verdict"] == "pass"
+    assert rep["fits"]["in_band_fraction"] >= 0.95
+
+
 def test_config_bound_without_its_section_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["config-bound", "--seed", "2026", "--out-dir", str(out)])

@@ -4,6 +4,7 @@ import pytest
 from projlab.manifold import (
     CapChart,
     ChartDomainError,
+    ChartError,
     DegenerateJacobianError,
     NonConvexityError,
     PerturbedCapChart,
@@ -275,12 +276,45 @@ def test_sectional_curvature_hypothesis():
 
 
 def test_frames_leave_the_chart_constants_unfilled():
-    # the frame scale is a Jacobian pass of its own; curvatures, Christoffel
-    # symbols and the frame conditioning are left for `constants`
+    # frames normalize each Jacobian column where it is evaluated; the
+    # sampled Jacobian bounds, curvatures, Christoffel symbols and frame
+    # conditioning are left for `constants`
     ch = CapChart(4, 0.6)
     frame_matrices(ch, rng(2).random((5, ch.dim)))
     assert "constants" not in ch.__dict__
-    assert ch.m_sigma == ch.constants.jacobian_scale
+    assert "_jacobian_bounds" not in ch.__dict__
+
+
+_FRAME_CHARTS = {
+    "cap3": lambda: CapChart(3, 0.6),
+    "cap4": lambda: CapChart(4, 0.6),
+    "perturbed3": lambda: PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0),
+    "perturbed4": lambda: PerturbedCapChart(4, 0.6, amplitude=0.005, frequency=2.0),
+}
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["chart", "dual"])
+@pytest.mark.parametrize("name", sorted(_FRAME_CHARTS))
+def test_frame_rows_are_an_orthonormal_basis_of_the_tangent_sphere(name, dual):
+    ch = _FRAME_CHARTS[name]()
+    ch = ch.dual() if dual else ch
+    x = rng(12).random((500, ch.dim))
+    B = frame_matrices(ch, x)
+    gram = B @ np.swapaxes(B, 1, 2)
+    assert np.abs(gram - np.eye(ch.n - 1)).max() <= 1e-12
+    assert np.abs(np.einsum("xcn,xn->xc", B, ch.point(x))).max() <= 1e-12
+
+
+def test_sheared_jacobian_columns_are_a_chart_error():
+    class Sheared(CapChart):
+        def jacobian(self, x):
+            J = super().jacobian(x)
+            J[..., 1] += 0.3 * J[..., 0]
+            return J
+
+    ch = Sheared(4, 0.6)
+    with pytest.raises(ChartError, match="not orthogonal"):
+        frame_matrices(ch, rng(13).random((5, ch.dim)))
 
 
 def test_degenerate_jacobian_detected():

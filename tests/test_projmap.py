@@ -83,6 +83,45 @@ def test_gradient_matches_finite_differences(cap3):
     assert np.abs(g[..., 0] - fd).max() < 1e-6
 
 
+@pytest.mark.parametrize("chart", [
+    CapChart(4, 0.6),
+    PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0),
+    PerturbedCapChart(4, 0.6, amplitude=0.005, frequency=2.0),
+], ids=["cap4", "perturbed3", "perturbed4"])
+def test_frame_derivative_matches_fourth_order_differences(chart):
+    # column norms vary over these charts, so the unit rows turn as well as
+    # the Jacobian columns do
+    x = 0.02 + 0.96 * rng_stream(22, chart.n).random((50, chart.dim))
+    dB = _frame_derivative(chart, x)
+    h = 1e-3
+    for j in range(chart.dim):
+        step = np.zeros(chart.dim)
+        step[j] = h
+        fd = sum(wgt * frame_matrices(chart, x + off * step)
+                 for off, wgt in zip((-2, -1, 1, 2), (1 / 12, -8 / 12, 8 / 12, -1 / 12))) / h
+        assert np.abs(dB[..., j] - fd).max() <= 1e-7
+
+
+def test_draws_measure_the_frame_projection(monkeypatch):
+    # the volume draws read |f_w(x)| from the point alone; the frame product
+    # is the reference
+    for chart in (CapChart(4, 0.6), PerturbedCapChart(3, 0.6, amplitude=0.01, frequency=2.0)):
+        w = _driver_pair(chart, rng_stream(5, 1), 0.25)
+        delta = 2.0**-6
+        projmap._field(chart, None)
+        xs, ts = [], []
+        point = chart.point
+        monkeypatch.setattr(chart, "point", lambda x: xs.append(x) or point(x), raising=False)
+        lens = projmap._lens_fraction
+        monkeypatch.setattr(projmap, "_lens_fraction", lambda t, c: ts.append(t) or lens(t, c))
+        mv = pair_intersection_volume(chart, w, delta, 500_000, rng_stream(6, 1))
+        monkeypatch.undo()
+        assert len(xs) == len(ts) >= 2 and sum(t.size for t in ts) == mv.evaluated
+        for x, t in zip(xs, ts):
+            ref = np.linalg.norm(frame_matrices(chart, x) @ w, axis=-1) / delta
+            assert np.abs(t - ref).max() <= 1e-12 * np.linalg.norm(w) / delta
+
+
 def test_c2_distance_of_identical_maps_is_zero(cap3):
     z = np.array([0.2, 0.1, 0.0])
     assert c2_distance(cap3, z - z).value == 0.0
@@ -455,7 +494,9 @@ def test_thinned_draws_keep_the_estimate(chart, samples):
 def test_conditional_volume_agrees_with_joint_sampling(n):
     chart = CapChart(n, 0.6)
     w = _driver_pair(chart, rng_stream(9, n), 0.25)
-    delta, samples = 2.0**-7, 1_000_000
+    # joint hits scale as delta^(2n-3): at n = 4 the hit floor needs the
+    # coarser delta
+    delta, samples = {3: 2.0**-7, 4: 2.0**-6}[n], 1_000_000
     mv = pair_intersection_volume(chart, w, delta, samples, rng_stream(10, n))
     # joint sampler: x uniform, y uniform in the delta-ball around f(x),
     # a hit when y lies within delta of g(x)
